@@ -168,9 +168,9 @@ func TestStartClusterSplitRoles(t *testing.T) {
 }
 
 // TestClusterMetricsIncludeStores: cluster-mode /metrics must expose the
-// shard replica stores' service families (distinguished by cluster_shard)
-// alongside the node's cluster families — one scrape, no duplicate TYPE
-// blocks.
+// store role's state-machine and audit families — ops applied by kind and
+// the node auditor's counters — alongside the node's cluster families, as
+// one valid scrape with no duplicate TYPE blocks.
 func TestClusterMetricsIncludeStores(t *testing.T) {
 	node, err := startCluster(clusterTestConfig(), 0, reserveAddr(t), "frontend,store", "", 0, 0)
 	if err != nil {
@@ -195,14 +195,17 @@ func TestClusterMetricsIncludeStores(t *testing.T) {
 	}
 	for _, want := range []string{
 		"cluster_owned_shards",
-		`cluster_shard="0"`,
-		`cluster_shard="1"`,
+		`cluster_ops_applied_total{kind="put"} 1`,
+		`cluster_ops_applied_total{kind="get"} 0`,
+		"# TYPE cluster_audit_sampled_total counter",
+		"# TYPE cluster_audit_windows_total counter",
+		"# TYPE cluster_audit_violations_total counter",
 	} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("metrics missing %q:\n%s", want, body)
 		}
 	}
-	// Merged exposition stays a valid scrape: one TYPE line per family.
+	// The scrape stays valid: one TYPE line per family.
 	types := map[string]bool{}
 	for _, line := range strings.Split(body, "\n") {
 		if strings.HasPrefix(line, "# TYPE ") {

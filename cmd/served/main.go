@@ -193,7 +193,7 @@ func main() {
 
 	// Drain each listener in turn, timing every stage for the final report:
 	// the HTTP front end first, then the wire listener, then the store (or
-	// the whole cluster node — replica stores and transport included).
+	// the whole cluster node — auditor and transport included).
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	drainStart := time.Now()
@@ -257,9 +257,11 @@ func main() {
 }
 
 // startCluster parses the -node/-peers/-roles/-store-nodes flags, builds
-// the per-shard replica stores (store role) and the RPW1 free transport,
-// and starts the cluster node's event loop. maxInflight and batchWindow
-// tune the owner's replication pipeline (docs/OPERATIONS.md).
+// the RPW1 free transport, and starts the cluster node's event loop. Of
+// cfg only Shards and Audit apply: a store node applies its replicated log
+// to one state machine per shard, with no per-shard Store underneath.
+// maxInflight and batchWindow tune the owner's replication pipeline
+// (docs/OPERATIONS.md).
 func startCluster(cfg service.Config, nodeID int, peers, roles, storeNodes string, maxInflight int, batchWindow time.Duration) (*cluster.Node, error) {
 	addrs := strings.Split(peers, ",")
 	if nodeID < 0 || nodeID >= len(addrs) {
@@ -320,15 +322,6 @@ func startCluster(cfg service.Config, nodeID int, peers, roles, storeNodes strin
 		}
 		return nil, fmt.Errorf("node %d is in -store-nodes %q but -roles %q excludes store: it would count toward the quorum without ever acking or voting", nodeID, storeNodes, roles)
 	}
-	var stores []*service.Store
-	if storeRole {
-		for s := 0; s < cfg.Shards; s++ {
-			shardCfg := cfg
-			shardCfg.Shards = 1
-			shardCfg.Faults = nil // chaos targets the single-process mode
-			stores = append(stores, service.New(shardCfg))
-		}
-	}
 	tr, err := cluster.NewFreeTransport(cluster.NodeID(nodeID), addrs, cluster.FreeConfig{Logf: log.Printf})
 	if err != nil {
 		return nil, err
@@ -337,8 +330,8 @@ func startCluster(cfg service.Config, nodeID int, peers, roles, storeNodes strin
 		ID: cluster.NodeID(nodeID), Nodes: len(addrs), StoreNodes: replicas,
 		Shards: cfg.Shards, Frontend: frontend, Store: storeRole,
 		MaxInflightEntries: maxInflight, BatchWindow: batchWindow.Nanoseconds(),
-		Logf: log.Printf,
-	}, tr, stores)
+		Audit: cfg.Audit, Logf: log.Printf,
+	}, tr, nil)
 	go n.Run(nil)
 	return n, nil
 }
@@ -477,19 +470,7 @@ func buildMux(be backend, store *service.Store, node *cluster.Node, faults *faul
 		w.Header().Set("Content-Type", metrics.ContentType)
 		var err error
 		if node != nil {
-			// Cluster mode: merge the node's cluster_* registry with every
-			// shard replica store's service_* registry (distinguished by a
-			// cluster_shard label) into one valid exposition, so cluster
-			// deployments keep the op/batch/latency visibility of
-			// single-process mode.
-			parts := []metrics.LabeledRegistry{{Reg: node.Metrics()}}
-			for s, reg := range node.StoreRegistries() {
-				parts = append(parts, metrics.LabeledRegistry{
-					Reg:   reg,
-					Extra: metrics.Labels{{Name: "cluster_shard", Value: strconv.Itoa(s)}},
-				})
-			}
-			err = metrics.WriteMultiProm(w, parts)
+			err = node.Metrics().WriteProm(w)
 		} else {
 			err = store.Metrics().WriteProm(w)
 		}

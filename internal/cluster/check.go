@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/service"
@@ -21,10 +22,9 @@ import (
 //  2. Committed-prefix agreement. Every pair of non-condemned replicas
 //     must agree (epoch and ops) on every seq both have committed: a
 //     disagreement the protocol failed to condemn is a split brain.
-//  3. Replay. The canonical chain is replayed through the sequential
-//     state-machine semantics (get/put/cas over per-key registers, with
-//     op-ID dedup exactly like the store's) to recover the result every
-//     op must have produced. An answered op that is missing from the
+//  3. Replay. The canonical chain is replayed through a fresh
+//     service.Machine — the very state machine the replicas apply, op-ID
+//     dedup included — to recover the result every op must have produced. An answered op that is missing from the
 //     chain, or whose observed result differs from the replay, is a
 //     violation — this is what catches a stale read served after a botched
 //     failover.
@@ -72,47 +72,6 @@ func (l *obsLog) trackStale(sub int, op service.Op, res service.Result) {
 			l.sawStale = true
 		}
 	}
-}
-
-// replayState is the checker's copy of one shard's sequential state
-// machine: per-key registers plus the op-ID dedup table (unbounded — the
-// store's FIFO bound never evicts at scenario workload sizes).
-type replayState struct {
-	vals   map[string]string
-	exists map[string]bool
-	dedup  map[uint64]service.Result
-}
-
-func newReplayState() *replayState {
-	return &replayState{vals: map[string]string{}, exists: map[string]bool{}, dedup: map[uint64]service.Result{}}
-}
-
-// step applies one op with the exact semantics of the store's applyBatch.
-func (rs *replayState) step(op service.Op) service.Result {
-	if op.ID != 0 {
-		if res, hit := rs.dedup[op.ID]; hit {
-			return res
-		}
-	}
-	var res service.Result
-	switch op.Kind {
-	case service.OpGet:
-		res = service.Result{Val: rs.vals[op.Key], OK: rs.exists[op.Key]}
-	case service.OpPut:
-		res = service.Result{Val: op.Val, OK: true}
-		rs.vals[op.Key], rs.exists[op.Key] = op.Val, true
-	case service.OpCAS:
-		if rs.vals[op.Key] == op.Old {
-			rs.vals[op.Key], rs.exists[op.Key] = op.Val, true
-			res = service.Result{Val: op.Val, OK: true}
-		} else {
-			res = service.Result{Val: rs.vals[op.Key], OK: false}
-		}
-	}
-	if op.ID != 0 {
-		rs.dedup[op.ID] = res
-	}
-	return res
 }
 
 // checkRun judges one finished virtual run: nodes are every node of the
@@ -168,7 +127,7 @@ func checkRun(nodes []*Node, obs *obsLog, end int64) []string {
 				if a == nil || b == nil {
 					continue // truncated on one side; RetainLog configs never hit this
 				}
-				if a.Epoch != b.Epoch || !sameOps(a.Ops, b.Ops) {
+				if a.Epoch != b.Epoch || !slices.Equal(a.Ops, b.Ops) {
 					out = append(out, fmt.Sprintf(
 						"shard %d: split brain — node %d and node %d committed different entries at seq %d",
 						s, canonNode, id, seq))
@@ -177,10 +136,10 @@ func checkRun(nodes []*Node, obs *obsLog, end int64) []string {
 			}
 		}
 		// Replay the canonical chain.
-		rs := newReplayState()
+		m := service.NewMachine(0)
 		for _, e := range canon.entries {
 			for _, op := range e.Ops {
-				res := rs.step(op)
+				res, _, _ := m.Apply(op)
 				if op.ID != 0 {
 					if _, seen := expected[op.ID]; !seen {
 						expected[op.ID] = res
@@ -241,16 +200,4 @@ func checkRun(nodes []*Node, obs *obsLog, end int64) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-func sameOps(a, b []service.Op) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

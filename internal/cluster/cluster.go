@@ -1,13 +1,16 @@
 // Package cluster replicates the serving tier's per-shard logs across a
-// set of nodes. Each shard has one owner at a time: the owner drives the
-// shard's batch window through the idempotent universal construction
-// (internal/service), streams committed log suffixes to the follower
-// replicas, and answers clients only once a majority of replicas has
-// acknowledged the entry — so a committed response survives the owner's
-// death. Followers apply entries continuously, keeping live replicas whose
-// dedup tables already hold every applied client op; failover is therefore
-// an election plus a log reconciliation, not a replay from scratch, and a
-// retried client op lands in the dedup table instead of applying twice.
+// set of nodes. Each shard has one owner at a time: the owner batches
+// client routes into log entries, applies each entry to its shard state
+// machine (service.Machine — the replication log has already fixed the
+// order, so no second agreement runs underneath), streams the log suffix
+// to the follower replicas, and answers clients only once a majority of
+// replicas has acknowledged the entry — so a committed response survives
+// the owner's death. Followers apply entries to their own Machines as they
+// arrive, keeping live replicas whose dedup tables already hold every
+// applied client op; failover is therefore an election plus a log
+// reconciliation, not a replay from scratch, and a retried client op lands
+// in the dedup table instead of applying twice. Each store node runs one
+// online auditor over the ops it answers as owner.
 //
 // The package is written against a sealed Transport seam with two
 // implementations:
@@ -23,9 +26,9 @@
 //
 // One Node value is the whole per-process state machine: a front end that
 // routes client ops to shard owners, and/or a store node that holds one
-// single-shard service.Store per cluster shard. All protocol logic runs in
-// a single event loop (Node.Run), identical in both modes, so what the
-// virtual scenarios in sim.go exhaust is the code that serves real
+// replicated log and service.Machine per cluster shard. All protocol logic
+// runs in a single event loop (Node.Run), identical in both modes, so what
+// the virtual scenarios in sim.go exhaust is the code that serves real
 // traffic.
 //
 // Safety notes (why the protocol is linearizable across handoff):
@@ -112,6 +115,12 @@ type Config struct {
 	// the checker replays it). Free mode truncates below the committed
 	// frontier acknowledged by all live replicas.
 	RetainLog bool
+	// Audit configures the node auditor, which checks the ops this node
+	// answers as a shard owner for linearizability (per-key windows, as
+	// the single-node Store's auditor does). Free-mode nodes check windows
+	// in the background; virtual-mode nodes check them inline on the event
+	// loop. Frontend-only nodes audit nothing.
+	Audit service.AuditConfig
 
 	// Logf, when non-nil, receives protocol-level event logs.
 	Logf func(format string, args ...any)

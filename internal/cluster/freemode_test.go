@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"strings"
@@ -45,7 +46,7 @@ func freeNodeConfig(id NodeID, nodes int, stores []NodeID, shards int) Config {
 }
 
 // startFreeCluster brings up a full free-mode cluster on loopback TCP:
-// every node both frontend and store, real stores, real RPW1 transports.
+// every node both frontend and store, real RPW1 transports.
 // The returned nodes are running; callers own shutdown.
 func startFreeCluster(t testing.TB, nodes, shards int, retain bool) []*Node {
 	return startFreeClusterCfg(t, nodes, shards, retain, nil)
@@ -56,6 +57,15 @@ func startFreeCluster(t testing.TB, nodes, shards int, retain bool) []*Node {
 // window or batch timings.
 func startFreeClusterCfg(t testing.TB, nodes, shards int, retain bool, mod func(*Config)) []*Node {
 	t.Helper()
+	return startFreeClusterNet(t, nodes, shards, retain, mod, nil)
+}
+
+// startFreeClusterNet is startFreeClusterCfg with a per-node transport
+// hook, for tests that rig the network (modFree sees the node's id and the
+// deployment's addresses; it runs after the test defaults, before
+// NewFreeTransport).
+func startFreeClusterNet(t testing.TB, nodes, shards int, retain bool, mod func(*Config), modFree func(NodeID, []string, *FreeConfig)) []*Node {
+	t.Helper()
 	addrs := reservePorts(t, nodes)
 	stores := make([]NodeID, nodes)
 	for i := range stores {
@@ -63,26 +73,24 @@ func startFreeClusterCfg(t testing.TB, nodes, shards int, retain bool, mod func(
 	}
 	out := make([]*Node, nodes)
 	for i := 0; i < nodes; i++ {
-		ft, err := NewFreeTransport(NodeID(i), addrs, FreeConfig{
+		fc := FreeConfig{
 			PingEvery:   5 * time.Millisecond,
 			DialBackoff: 5 * time.Millisecond,
 			DialTimeout: 100 * time.Millisecond,
-		})
+		}
+		if modFree != nil {
+			modFree(NodeID(i), addrs, &fc)
+		}
+		ft, err := NewFreeTransport(NodeID(i), addrs, fc)
 		if err != nil {
 			t.Fatalf("node %d transport: %v", i, err)
-		}
-		reps := make([]*service.Store, shards)
-		for s := range reps {
-			reps[s] = service.New(service.Config{
-				Shards: 1, WorkersPerShard: 1, QueueDepth: 64, MaxBatch: 16,
-			})
 		}
 		cfg := freeNodeConfig(NodeID(i), nodes, stores, shards)
 		cfg.RetainLog = retain
 		if mod != nil {
 			mod(&cfg)
 		}
-		n := New(cfg, ft, reps)
+		n := New(cfg, ft, nil)
 		go n.Run(nil)
 		out[i] = n
 	}
@@ -228,6 +236,56 @@ func TestFreeClusterFailover(t *testing.T) {
 		if st := n.Stats(); st.Audit.Violations != 0 {
 			t.Fatalf("node %d audit violations: %+v", i+1, st.Audit)
 		}
+	}
+}
+
+// TestFreeClusterFailoverLaggingReplica: a replica the owner cannot reach
+// during the preload holds none of the log when the owner dies. The
+// surviving follower wins the election and must still be able to catch
+// the laggard up, or the new epoch's barrier never reaches a quorum and
+// the shard wedges — which is what happens if followers truncate to their
+// commit frontier instead of below the owner's horizon.
+func TestFreeClusterFailoverLaggingReplica(t *testing.T) {
+	nodes := startFreeClusterNet(t, 3, 1, false, nil, func(id NodeID, addrs []string, fc *FreeConfig) {
+		if id != 0 {
+			return
+		}
+		fc.dialFn = func(addr string, timeout time.Duration) (net.Conn, error) {
+			if addr == addrs[2] {
+				return nil, errors.New("black hole")
+			}
+			return net.DialTimeout("tcp", addr, timeout)
+		}
+	})
+	closed := make([]bool, 3)
+	defer func() {
+		for i, n := range nodes {
+			if !closed[i] {
+				n.Close()
+			}
+		}
+	}()
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	for i := 0; i < 10; i++ {
+		if _, err := nodes[1].Do(ctx, service.Op{Kind: service.OpPut, Key: "k", Val: fmt.Sprintf("v%d", i), ID: uint64(i + 1)}); err != nil {
+			t.Fatalf("preload %d: %v", i, err)
+		}
+	}
+	if f := nodes[2].Status().Shards[0].Frontier; f != 0 {
+		t.Fatalf("node 2 holds %d entries; the black hole did not isolate it", f)
+	}
+	nodes[0].Close()
+	closed[0] = true
+	for i := 0; i < 6; i++ {
+		r, err := nodes[1+i%2].Do(ctx, service.Op{Kind: service.OpPut, Key: "k", Val: fmt.Sprintf("post%d", i), ID: uint64(100 + i)})
+		if err != nil || !r.OK {
+			t.Fatalf("post-failover put %d: %+v %v", i, r, err)
+		}
+	}
+	r, err := nodes[2].Do(ctx, service.Op{Kind: service.OpGet, Key: "k", ID: 200})
+	if err != nil || r.Val != "post5" {
+		t.Fatalf("post-failover get: %+v %v", r, err)
 	}
 }
 

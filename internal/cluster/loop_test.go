@@ -34,11 +34,10 @@ func TestSendPathNeverWaitsOnDial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := service.New(service.Config{Shards: 1, WorkersPerShard: 1, QueueDepth: 64, MaxBatch: 16})
 	// Node 0 is sole store (quorum 1) and front end; node 1 exists only as
 	// the unreachable peer the heartbeats keep trying to reach.
 	cfg := freeNodeConfig(0, 2, []NodeID{0}, 1)
-	n := New(cfg, ft, []*service.Store{st})
+	n := New(cfg, ft, nil)
 	go n.Run(nil)
 	defer n.Close()
 
@@ -80,7 +79,6 @@ func TestTickAllocationFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ft.close()
-	st := service.New(service.Config{Shards: 1, WorkersPerShard: 1, QueueDepth: 64, MaxBatch: 16})
 	cfg := Config{
 		ID: 0, Nodes: 1, StoreNodes: []NodeID{0}, Shards: 1,
 		Frontend: true, Store: true,
@@ -88,7 +86,7 @@ func TestTickAllocationFree(t *testing.T) {
 		// nothing-due path.
 		HeartbeatEvery: 1 << 62, RetransmitEvery: 1 << 62, RouteTimeout: 1 << 62,
 	}
-	n := New(cfg, ft, []*service.Store{st})
+	n := New(cfg, ft, nil)
 	now := time.Now().UnixNano()
 	for id := uint64(1); id <= 8; id++ {
 		n.routes[id] = &route{sentAt: now}
@@ -96,5 +94,31 @@ func TestTickAllocationFree(t *testing.T) {
 	avg := testing.AllocsPerRun(200, func() { n.tick(nil) })
 	if avg != 0 {
 		t.Fatalf("tick allocates %.1f objects per call with %d pending routes, want 0", avg, len(n.routes))
+	}
+}
+
+// TestDialConnectsLatePeer: a peer whose listener comes up 20ms after the
+// transport starts must be connected within 100ms of listening, under the
+// production DialBackoff (250ms) — otherwise back-to-back starts drop
+// their first frames as no_conn and hold spurious elections.
+func TestDialConnectsLatePeer(t *testing.T) {
+	addrs := reservePorts(t, 2)
+	ft, err := NewFreeTransport(0, addrs, FreeConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ft.close()
+	time.Sleep(20 * time.Millisecond)
+	lis, err := net.Listen("tcp", addrs[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lis.Close()
+	up := time.Now()
+	for ft.peers[1].get() == nil {
+		if time.Since(up) > 100*time.Millisecond {
+			t.Fatal("peer not connected 100ms after its listener came up")
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -40,6 +40,7 @@ type pendRoute struct {
 	ops   []service.Op
 	bytes int   // encoded size of ops, toward maxEntryBytes
 	at    int64 // arrival time; bounds the batch window wait
+	call  int64 // audit clock at arrival (the audited interval's start)
 }
 
 // inflightEntry is one uncommitted entry in the owner's pipelined window,
@@ -51,6 +52,10 @@ type inflightEntry struct {
 	seq     uint64
 	routes  []pendRoute
 	results []service.Result
+	// vers holds each op's per-key version for the node auditor, 0 for a
+	// dedup hit (its effect and interval belong to the first apply); nil
+	// when auditing is off.
+	vers []uint64
 }
 
 // route is one shard's slice of a client call, tracked by the front end
@@ -69,8 +74,8 @@ type route struct {
 }
 
 // shardRep is one shard's replica state on a store node: the replicated
-// log, the role (owner or follower), and the owner/election bookkeeping.
-// All fields are event-loop-owned.
+// log and the state machine it feeds, the role (owner or follower), and
+// the owner/election bookkeeping. All fields are event-loop-owned.
 type shardRep struct {
 	shard     int
 	epoch     uint64
@@ -79,12 +84,18 @@ type shardRep struct {
 	condemned bool
 
 	// Replicated log. entries holds seqs (base, frontier]; an entry's ops
-	// have already been applied to the local store when it is appended.
+	// have already been applied to m when it is appended.
+	m         *service.Machine
 	base      uint64
 	entries   []wire.RepEntry
 	frontier  uint64
 	lastEpoch uint64 // epoch of the entry at frontier (0 when log empty)
 	committed uint64
+	// horizon is the owner's truncation horizon as a follower last heard
+	// it on the commit keepalive: the lowest frontier any live replica has
+	// acked. A follower truncates only below it, so whichever replica wins
+	// the next election still holds the suffix every live replica lacks.
+	horizon uint64
 
 	lastOwnerHeard int64
 
@@ -214,11 +225,14 @@ func (s Status) OwnedShards() int {
 // seam. The same Node code runs under real TCP and under the simulated
 // network — only the Transport differs.
 type Node struct {
-	cfg     Config
-	tr      Transport
-	stores  []*service.Store // len cfg.Shards when cfg.Store, else nil
-	virtual bool
-	quorum  int
+	cfg    Config
+	tr     Transport
+	quorum int
+	// audit checks the ops this node answers as a shard owner (nil when
+	// auditing is off or the node holds no replicas); auditClock is its
+	// logical clock, ticked at route arrival and at commit.
+	audit      *service.Auditor
+	auditClock int64
 
 	// Event-loop-owned state.
 	shards     []*shardRep
@@ -240,6 +254,7 @@ type Node struct {
 	cRouteRetries  *metrics.Counter
 	cEntriesSent   *metrics.Counter
 	cEntriesApp    *metrics.Counter
+	cOpsApplied    [service.NumOpKinds]*metrics.Counter
 	cMsgSent       [16]*metrics.Counter
 	cMsgRecv       [16]*metrics.Counter
 	gOwned         *metrics.Gauge
@@ -248,7 +263,7 @@ type Node struct {
 	drops          *dropCounters
 
 	// debugSkipApply makes this node's followers acknowledge replicated
-	// entries WITHOUT applying them to the local store — the injected
+	// entries WITHOUT applying them to the state machine — the injected
 	// stale-read-after-failover bug behind the cluster:stale-canary
 	// must-detect scenario. Never set outside tests.
 	debugSkipApply bool
@@ -258,6 +273,10 @@ type Node struct {
 	// must-detect scenario (entries commit and answer clients before a
 	// quorum holds them). Never set outside tests.
 	debugAckFullWindow bool
+	// debugCorruptResult makes this node, as owner, answer gets on this key
+	// as if it had never been written — the injected stale-read bug the
+	// node auditor must detect. Never set outside tests.
+	debugCorruptResult string
 
 	// Off-loop snapshot for Status, refreshed by the loop.
 	smu       sync.Mutex
@@ -281,26 +300,26 @@ var opcodeNames = map[byte]string{
 	wire.OpcodeRepOwner:     "owner",
 }
 
-// New builds a Node over a transport. stores must have cfg.Shards entries
-// when cfg.Store is set (each a single-shard service.Store the node may
-// drive exclusively) and is ignored otherwise. The caller then runs the
-// event loop: go n.Run(nil) in free mode, run.Spawn(id, n.Run) in virtual
-// mode.
+// New builds a Node over a transport. The caller then runs the event loop:
+// go n.Run(nil) in free mode, run.Spawn(id, n.Run) in virtual mode.
+//
+// stores is vestigial: a store node applies its replicated log to one
+// service.Machine per shard, so New only closes the free-mode stores it is
+// handed. Pass nil. Only the benchmark (perfbench/) still passes stores;
+// the parameter is to be removed when the benchmark next changes.
 func New(cfg Config, tr Transport, stores []*service.Store) *Node {
+	for _, st := range stores {
+		st.Close()
+	}
 	_, virtual := tr.(*vEndpoint)
 	cfg = cfg.withDefaults(virtual)
 	n := &Node{
 		cfg:      cfg,
 		tr:       tr,
-		stores:   stores,
-		virtual:  virtual,
 		quorum:   cfg.quorum(),
 		routes:   map[uint64]*route{},
 		loopDone: make(chan struct{}),
 		reg:      metrics.NewRegistry(),
-	}
-	if !cfg.Store {
-		n.stores = nil
 	}
 	n.cFailovers = n.reg.Counter("cluster_failovers_total", "elections won by this node", nil)
 	n.cElections = n.reg.Counter("cluster_elections_total", "elections started by this node", nil)
@@ -312,6 +331,16 @@ func New(cfg Config, tr Transport, stores []*service.Store) *Node {
 	n.gOwned = n.reg.Gauge("cluster_owned_shards", "shards this node currently owns", nil)
 	n.gCondemned = n.reg.Gauge("cluster_condemned_shards", "shard replicas condemned on this node", nil)
 	n.gPendingRoutes = n.reg.Gauge("cluster_pending_routes", "client routes awaiting RepDone", nil)
+	for k := range n.cOpsApplied {
+		n.cOpsApplied[k] = n.reg.Counter("cluster_ops_applied_total", "ops applied to this node's shard state machines by kind",
+			metrics.Labels{{Name: "kind", Value: service.OpKind(k).String()}})
+	}
+	if cfg.Store && !cfg.Audit.Disabled {
+		// Inline under the virtual runtime: a proc of the run must not
+		// start the background auditor's goroutine.
+		n.audit = service.NewAuditor(cfg.Audit, virtual)
+		n.audit.RegisterMetrics(n.reg, "cluster")
+	}
 	n.drops = newDropCounters(n.reg)
 	switch t := tr.(type) {
 	case *vEndpoint:
@@ -335,6 +364,7 @@ func New(cfg Config, tr Transport, stores []*service.Store) *Node {
 		n.owners[s] = owner
 		sr := &shardRep{
 			shard:   s,
+			m:       service.NewMachine(0),
 			epoch:   1,
 			owner:   owner,
 			isOwner: cfg.Store && owner == cfg.ID,
@@ -353,19 +383,6 @@ func New(cfg Config, tr Transport, stores []*service.Store) *Node {
 // cluster_*; see docs/OPERATIONS.md).
 func (n *Node) Metrics() *metrics.Registry { return n.reg }
 
-// StoreRegistries returns the per-shard replica stores' metric registries,
-// indexed by shard (empty for a frontend-only node). Safe from any
-// goroutine — the store set is fixed at construction. Cluster-mode
-// /metrics merges these with Metrics() so the op/batch/latency families of
-// single-process mode stay scrapable in a deployment.
-func (n *Node) StoreRegistries() []*metrics.Registry {
-	out := make([]*metrics.Registry, len(n.stores))
-	for i, st := range n.stores {
-		out[i] = st.Metrics()
-	}
-	return out
-}
-
 // Status snapshots the node's cluster state; safe from any goroutine.
 func (n *Node) Status() Status {
 	n.smu.Lock()
@@ -381,33 +398,24 @@ func (n *Node) Status() Status {
 	}
 }
 
-// Stats implements wire.Backend by aggregating the node's stores: op and
-// audit counters sum across shards (latency summaries are per-store and
-// not merged). A frontend-only node reports an empty Stats.
+// Stats implements wire.Backend: ops applied to this node's shard state
+// machines by kind (as owner and as follower), each shard's committed
+// frontier, and the node auditor's verdict. A frontend-only node reports
+// no ops and no audit.
 func (n *Node) Stats() service.Stats {
 	out := service.Stats{Shards: n.cfg.Shards, Ops: map[string]int64{}}
-	for _, st := range n.stores {
-		s := st.Stats()
-		out.WorkersPerShard = s.WorkersPerShard
-		out.TotalOps += s.TotalOps
-		out.Batches += s.Batches
-		out.BatchSize.Merge(s.BatchSize)
-		for k, v := range s.Ops {
-			out.Ops[k] += v
-		}
-		out.QueueDepth = append(out.QueueDepth, s.QueueDepth...)
-		out.Committed = append(out.Committed, s.Committed...)
-		out.Audit.SampledOps += s.Audit.SampledOps
-		out.Audit.DroppedOps += s.Audit.DroppedOps
-		out.Audit.WindowsChecked += s.Audit.WindowsChecked
-		out.Audit.Violations += s.Audit.Violations
-		out.Audit.Truncated += s.Audit.Truncated
-		out.Audit.Gaps += s.Audit.Gaps
-		out.Audit.ViolationSamples = append(out.Audit.ViolationSamples, s.Audit.ViolationSamples...)
-		out.Supervision.Enabled = out.Supervision.Enabled || s.Supervision.Enabled
-		out.Supervision.Restarts += s.Supervision.Restarts
-		out.Supervision.Condemned += s.Supervision.Condemned
-		out.Supervision.SparesExhausted += s.Supervision.SparesExhausted
+	for k, c := range n.cOpsApplied {
+		v := c.Value()
+		out.Ops[service.OpKind(k).String()] = v
+		out.TotalOps += v
+	}
+	n.smu.Lock()
+	for _, sh := range n.view {
+		out.Committed = append(out.Committed, int64(sh.Committed))
+	}
+	n.smu.Unlock()
+	if n.audit != nil {
+		out.Audit = n.audit.Stats()
 	}
 	return out
 }
@@ -479,7 +487,7 @@ func (n *Node) DoBatchOn(p *sched.Proc, ops []service.Op) ([]service.Result, err
 }
 
 // Close shuts the free-mode node down: the loop drains, pending client
-// calls fail with ErrClosed, the stores close, the transport tears down.
+// calls fail with ErrClosed, the auditor flushes, the transport tears down.
 func (n *Node) Close() error {
 	if n.closed.Swap(true) {
 		<-n.loopDone
@@ -579,12 +587,8 @@ func (n *Node) shutdown(p *sched.Proc) {
 			r.call.finish(service.ErrClosed)
 		}
 	}
-	for _, st := range n.stores {
-		if p != nil {
-			st.CloseOn(p)
-		} else {
-			st.Close()
-		}
+	if n.audit != nil {
+		n.audit.Close()
 	}
 	n.tr.close()
 	n.smu.Lock()
@@ -724,15 +728,17 @@ func (n *Node) sendRep(p *sched.Proc, to NodeID, kind byte, rep wire.Rep) {
 // sendHeartbeats broadcasts the node-level liveness beat. Toward fellow
 // store nodes the owner folds in one AckCommit keepalive per owned shard
 // — the committed-frontier carrier that used to be a per-shard empty
-// append, now amortized over the heartbeat it rode next to anyway.
+// append, now amortized over the heartbeat it rode next to anyway. Its
+// Last field carries the owner's truncation horizon (docs/PROTOCOL.md §5).
 func (n *Node) sendHeartbeats(p *sched.Proc) {
 	var commits []wire.RepAck
 	if n.cfg.Store {
+		now := n.tr.now(p)
 		for _, sr := range n.shards {
 			if sr.isOwner && !sr.condemned {
 				commits = append(commits, wire.RepAck{
 					Kind: wire.AckCommit, Shard: uint16(sr.shard),
-					Epoch: sr.epoch, Frontier: sr.committed,
+					Epoch: sr.epoch, Frontier: sr.committed, Last: n.horizon(sr, now),
 				})
 			}
 		}
@@ -824,17 +830,10 @@ func (n *Node) onAcks(p *sched.Proc, m *message) {
 	}
 }
 
-// apply drives ops through the shard's local store (the idempotent
-// universal construction: ops with ids already applied replay their cached
-// results).
-func (n *Node) apply(p *sched.Proc, shard int, ops []service.Op) ([]service.Result, error) {
-	if len(ops) == 0 {
-		return nil, nil
-	}
-	if p != nil {
-		return n.stores[shard].DoBatchOn(p, ops)
-	}
-	return n.stores[shard].DoBatch(context.Background(), ops)
+// apply applies one op to the shard's state machine.
+func (n *Node) apply(sr *shardRep, op service.Op) (service.Result, uint64, bool) {
+	n.cOpsApplied[op.Kind].Inc()
+	return sr.m.Apply(op)
 }
 
 func (n *Node) syncView(sr *shardRep) {
@@ -1004,20 +1003,21 @@ func (n *Node) onRoute(p *sched.Proc, m *message) {
 		return
 	}
 	sr.pendSet[m.rep.ReqID] = struct{}{}
+	n.auditClock++
 	sr.pend = append(sr.pend, pendRoute{
-		from: from, reqid: m.rep.ReqID, ops: m.rep.Ops, bytes: bytes, at: n.tr.now(p),
+		from: from, reqid: m.rep.ReqID, ops: m.rep.Ops, bytes: bytes, at: n.tr.now(p), call: n.auditClock,
 	})
 	n.pump(p, sr)
 }
 
 // pump drives the owner's replication pipeline: while the pipelined
 // window has room and routes are pending, batch routes into the next log
-// entry, apply it locally (results become the client answers), and stream
-// it to the followers. Up to MaxInflightEntries entries are outstanding
-// per shard; commits stay strictly in order (checkCommit answers
-// prefixes). With a BatchWindow, a non-full batch waits out the window
-// before cutting — tick re-pumps, so the extra wait is bounded by
-// BatchWindow + TickEvery.
+// entry, apply it to the shard's state machine (results become the client
+// answers), and stream it to the followers. Up to MaxInflightEntries
+// entries are outstanding per shard; commits stay strictly in order
+// (checkCommit answers prefixes). With a BatchWindow, a non-full batch
+// waits out the window before cutting — tick re-pumps, so the extra wait
+// is bounded by BatchWindow + TickEvery.
 func (n *Node) pump(p *sched.Proc, sr *shardRep) {
 	for len(sr.inflight) < n.cfg.MaxInflightEntries && len(sr.pend) > 0 &&
 		!n.stopping && sr.isOwner && !sr.condemned {
@@ -1049,27 +1049,32 @@ func (n *Node) pump(p *sched.Proc, sr *shardRep) {
 		for _, r := range batch {
 			ops = append(ops, r.ops...)
 		}
-		results, err := n.apply(p, sr.shard, ops)
-		if err != nil {
-			// Closing or saturated: drop the routes, the front ends retry.
-			n.cfg.Logf("cluster: node %d shard %d: apply: %v", n.cfg.ID, sr.shard, err)
-			for _, r := range batch {
-				delete(sr.pendSet, r.reqid)
-			}
-			return
+		e := inflightEntry{seq: sr.nextSeq, routes: batch, results: make([]service.Result, len(ops))}
+		if n.audit != nil {
+			e.vers = make([]uint64, len(ops))
 		}
-		n.appendEntry(p, sr, wire.RepEntry{Seq: sr.nextSeq, Epoch: sr.epoch, Ops: ops}, batch, results)
+		for i, op := range ops {
+			res, ver, dup := n.apply(sr, op)
+			if op.Kind == service.OpGet && op.Key == n.debugCorruptResult && op.Key != "" {
+				res = service.Result{}
+			}
+			e.results[i] = res
+			if e.vers != nil && !dup {
+				e.vers[i] = ver
+			}
+		}
+		n.appendEntry(p, sr, wire.RepEntry{Seq: e.seq, Epoch: sr.epoch, Ops: ops}, e)
 	}
 }
 
 // appendEntry installs the owner's next log entry (already applied
 // locally) and streams the new suffix to followers that aren't already
 // being streamed it.
-func (n *Node) appendEntry(p *sched.Proc, sr *shardRep, e wire.RepEntry, batch []pendRoute, results []service.Result) {
+func (n *Node) appendEntry(p *sched.Proc, sr *shardRep, e wire.RepEntry, ie inflightEntry) {
 	sr.appendLocal(e)
 	sr.nextSeq = e.Seq + 1
 	sr.acked[n.cfg.ID] = sr.frontier
-	sr.inflight = append(sr.inflight, inflightEntry{seq: e.Seq, routes: batch, results: results})
+	sr.inflight = append(sr.inflight, ie)
 	for _, f := range n.cfg.StoreNodes {
 		if f != n.cfg.ID && sr.sendFrom(f) < sr.frontier {
 			n.sendSuffix(p, sr, f)
@@ -1164,6 +1169,7 @@ func (n *Node) onCommitKeepalive(p *sched.Proc, from NodeID, a *wire.RepAck) {
 		n.adoptOwner(p, sr, a.Epoch, from)
 	}
 	sr.lastOwnerHeard = n.tr.now(p)
+	sr.horizon = a.Last
 	if a.Frontier > sr.committed {
 		c := a.Frontier
 		if c > sr.frontier {
@@ -1171,13 +1177,20 @@ func (n *Node) onCommitKeepalive(p *sched.Proc, from NodeID, a *wire.RepAck) {
 		}
 		if c > sr.committed {
 			sr.committed = c
-			if !n.cfg.RetainLog {
-				sr.truncate(sr.committed)
-			}
 			n.syncView(sr)
 		}
 	}
+	n.followerTruncate(sr)
 	sr.ackOwed = true
+}
+
+// followerTruncate drops entries below both the commit frontier and the
+// owner's horizon: if this follower wins the next election, it must still
+// be able to send a live laggard the suffix it lacks.
+func (n *Node) followerTruncate(sr *shardRep) {
+	if !n.cfg.RetainLog {
+		sr.truncate(min(sr.committed, sr.horizon))
+	}
 }
 
 // sendDone answers one route, chunking the results so every frame stays
@@ -1238,6 +1251,9 @@ func (n *Node) checkCommit(p *sched.Proc, sr *shardRep) {
 		off := 0
 		for _, r := range e.routes {
 			res := e.results[off : off+len(r.ops)]
+			if e.vers != nil {
+				n.observe(r, res, e.vers[off:off+len(r.ops)])
+			}
 			off += len(r.ops)
 			delete(sr.pendSet, r.reqid)
 			n.sendDone(p, sr.shard, r.from, r.reqid, res)
@@ -1246,30 +1262,44 @@ func (n *Node) checkCommit(p *sched.Proc, sr *shardRep) {
 	}
 	if answered {
 		if !n.cfg.RetainLog {
-			// Truncate below what every live replica holds (a dead replica
-			// that revives beyond the horizon stays behind until condemned
-			// by the divergence check or caught by an operator).
-			now := n.tr.now(p)
-			trunc := sr.committed
-			for _, f := range n.cfg.StoreNodes {
-				if f == n.cfg.ID {
-					continue
-				}
-				if now-n.lastHeard[f] < n.cfg.OwnerTimeout && sr.acked[f] < trunc {
-					trunc = sr.acked[f]
-				}
-			}
-			sr.truncate(trunc)
+			sr.truncate(n.horizon(sr, n.tr.now(p)))
 		}
 		n.pump(p, sr)
+	}
+}
+
+// horizon is the owner's truncation horizon: the committed frontier,
+// lowered to what every live replica has acked. A dead replica that
+// revives beyond the horizon stays behind until condemned by the
+// divergence check or caught by an operator.
+func (n *Node) horizon(sr *shardRep, now int64) uint64 {
+	h := sr.committed
+	for _, f := range n.cfg.StoreNodes {
+		if f != n.cfg.ID && now-n.lastHeard[f] < n.cfg.OwnerTimeout && sr.acked[f] < h {
+			h = sr.acked[f]
+		}
+	}
+	return h
+}
+
+// observe feeds one committed route's answered ops to the node auditor,
+// each over the interval from the route's arrival to this commit; ops
+// answered from the dedup table (version 0) are skipped, since their
+// effect took place at the first apply.
+func (n *Node) observe(r pendRoute, res []service.Result, vers []uint64) {
+	n.auditClock++
+	for i, op := range r.ops {
+		if vers[i] != 0 {
+			n.audit.Observe(int(r.from), op, res[i], vers[i], r.call, n.auditClock)
+		}
 	}
 }
 
 // ---------------------------------------------------------------------------
 // Store node: follower side.
 
-// onAppend applies a replicated suffix: in-order entries feed the local
-// store (keeping the replica and its dedup table live), the commit
+// onAppend applies a replicated suffix: in-order entries feed the shard's
+// state machine (keeping the replica and its dedup table live), the commit
 // frontier advances, and the follower acks its applied frontier.
 func (n *Node) onAppend(p *sched.Proc, m *message) {
 	if !n.cfg.Store {
@@ -1305,9 +1335,8 @@ func (n *Node) onAppend(p *sched.Proc, m *message) {
 			break // gap; ack our real frontier and let the owner resend
 		}
 		if len(e.Ops) > 0 && !n.debugSkipApply {
-			if _, err := n.apply(p, sr.shard, e.Ops); err != nil {
-				n.cfg.Logf("cluster: node %d shard %d: follower apply: %v", n.cfg.ID, sr.shard, err)
-				return
+			for _, op := range e.Ops {
+				n.apply(sr, op)
 			}
 			n.cEntriesApp.Inc()
 		}
@@ -1322,9 +1351,7 @@ func (n *Node) onAppend(p *sched.Proc, m *message) {
 			sr.committed = c
 		}
 	}
-	if !n.cfg.RetainLog {
-		sr.truncate(sr.committed)
-	}
+	n.followerTruncate(sr)
 	n.syncView(sr)
 	// The cumulative ack piggybacks on the next frame toward the owner
 	// (flushAcks guarantees one this loop iteration), folding the whole
@@ -1344,6 +1371,7 @@ func (n *Node) adoptOwner(p *sched.Proc, sr *shardRep, epoch uint64, w NodeID) {
 	sr.epoch = epoch
 	sr.owner = w
 	sr.isOwner = w == n.cfg.ID
+	sr.horizon = 0 // until the new owner's keepalive says otherwise
 	sr.electEpoch = 0
 	sr.lastOwnerHeard = n.tr.now(p)
 	n.owners[sr.shard] = w
@@ -1554,7 +1582,7 @@ func (n *Node) becomeOwner(p *sched.Proc, sr *shardRep) {
 	}
 	// The barrier: an empty entry in the new epoch. Its commit commits
 	// everything beneath it (checkCommit only counts own-epoch entries).
-	n.appendEntry(p, sr, wire.RepEntry{Seq: sr.nextSeq, Epoch: sr.epoch}, nil, nil)
+	n.appendEntry(p, sr, wire.RepEntry{Seq: sr.nextSeq, Epoch: sr.epoch}, inflightEntry{seq: sr.nextSeq})
 	n.syncView(sr)
 }
 

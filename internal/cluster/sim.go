@@ -12,11 +12,12 @@ import (
 // Sweep-harness registration: whole cluster deployments under the
 // simulated network. Every scenario runs a complete multi-node cluster —
 // submitter clients, a front end router, store nodes with per-shard
-// replica stores, and the full replication protocol (ownership, quorum
-// commit, elections, condemnation) — as procs of one controlled sched.Run,
-// with the VirtualNet's delay, loss, duplication and partition faults all
-// drawn from the seed. Node event-loop crashes (the owner dying mid-load)
-// are CrashAt schedule decisions like any other proc crash.
+// replicated logs and state machines, and the full replication protocol
+// (ownership, quorum commit, elections, condemnation) — as procs of one
+// controlled sched.Run, with the VirtualNet's delay, loss, duplication and
+// partition faults all drawn from the seed. Node event-loop crashes (the
+// owner dying mid-load) are CrashAt schedule decisions like any other proc
+// crash.
 //
 // After every run the checker (check.go) reconstructs the canonical
 // committed chain from the retained replica logs and judges every client
@@ -30,9 +31,10 @@ import (
 //	0 .. subs-1     submitter clients
 //	subs            driver (waits for the submitters, then closes the nodes)
 //	subs+1+i        node i's event loop, i in [0, nodes)
-//	then            replica store procs: one per (store node, shard),
-//	                store-node-major (audit disabled, 1 worker, so each
-//	                replica store is exactly one proc)
+//
+// Store nodes apply entries inline on their event loops, so there are no
+// other procs. The node auditor is disabled: checkRun's exhaustive
+// verdict subsumes it.
 func init() {
 	for _, sc := range clusterScenarios() {
 		sim.Register(sc)
@@ -48,10 +50,9 @@ type ctopo struct {
 	shards int
 }
 
-func (t ctopo) procs() int         { return t.subs + 1 + t.nodes + len(t.stores)*t.shards }
+func (t ctopo) procs() int         { return t.subs + 1 + t.nodes }
 func (t ctopo) driverID() int      { return t.subs }
 func (t ctopo) nodeProc(i int) int { return t.subs + 1 + i }
-func (t ctopo) storeBase() int     { return t.subs + 1 + t.nodes }
 
 func (t ctopo) isStore(id NodeID) bool {
 	for _, s := range t.stores {
@@ -283,13 +284,14 @@ func clusterScenarios() []sim.Scenario {
 // healed with plenty of budget to spare.
 func partitionPlan(t ctopo, _ int64, rng *rand.Rand) NetPlan {
 	victim := t.stores[rng.IntN(len(t.stores))]
-	// The window must overlap the load phase (runs finish within a few
-	// thousand global steps) or the scenario degenerates to fault-free.
-	from := 128 + rng.Int64N(1024)
+	// The window must overlap the load phase (unfaulted, the load ends
+	// after about 150 global steps) or the scenario degenerates to
+	// fault-free.
+	from := 12 + rng.Int64N(96)
 	return NetPlan{
 		Seed: rng.Uint64(),
 		Partitions: []Partition{{
-			From: from, To: from + 1024 + rng.Int64N(3072), GroupA: []NodeID{victim},
+			From: from, To: from + 96 + rng.Int64N(288), GroupA: []NodeID{victim},
 		}},
 	}
 }
@@ -354,10 +356,12 @@ func cfairGen(n int, _ int64, rng *rand.Rand) sim.Schedule {
 func nodeCrashGen(t ctopo, victim NodeID) sim.Generator {
 	return func(n int, _ int64, rng *rand.Rand) sim.Schedule {
 		s, mk := cfairBase(n, rng)
-		// The node loop takes roughly one own-step per grant while parked, so
-		// its own-step clock runs ~1/procs of the global one; this window
-		// lands the crash mid-load for the scenario workload sizes.
-		at := 20 + rng.Int64N(300)
+		// The victim's own-step clock advances about once per event-loop
+		// iteration. Unfaulted, the crash scenarios' loads end after a
+		// median of 18 (owner-crash) to ~550 (batch-canary, under heavy
+		// loss) own steps, so the window is drawn on a log scale — a span
+		// of 32 to 512 steps — to land mid-load across all of them.
+		at := 4 + rng.Int64N(32<<rng.IntN(5))
 		plan := map[int]int64{t.nodeProc(int(victim)): at}
 		s.CrashPlan = plan
 		s.Desc += fmt.Sprintf("+crash{node%d@%d}", victim, at)
@@ -383,39 +387,20 @@ func (sc cscenario) build(r *sched.Run, rng *rand.Rand) sim.Oracle {
 	}
 	vn := NewVirtualNet(t.nodes, plan)
 
-	// Replica stores: one single-proc store per (store node, shard).
-	var vrs []*service.VirtualRuntime
 	nodes := make([]*Node, t.nodes)
-	victimStores := []*service.Store(nil)
-	next := t.storeBase()
 	for i := 0; i < t.nodes; i++ {
 		id := NodeID(i)
-		var stores []*service.Store
-		if t.isStore(id) {
-			for s := 0; s < t.shards; s++ {
-				vr := service.NewVirtualRuntime(r, next)
-				next++
-				st := service.NewVirtual(service.Config{
-					Shards: 1, WorkersPerShard: 1, QueueDepth: 64, MaxBatch: 16,
-					Audit: service.AuditConfig{Disabled: true},
-				}, vr)
-				vrs = append(vrs, vr)
-				stores = append(stores, st)
-			}
-		}
 		n := New(Config{
 			ID: id, Nodes: t.nodes, StoreNodes: t.stores, Shards: t.shards,
 			Frontend: t.isFront(id), Store: t.isStore(id), RetainLog: true,
 			MaxInflightEntries: sc.inflight, BatchWindow: sc.window,
-		}, vn.Endpoint(id), stores)
+			Audit: service.AuditConfig{Disabled: true},
+		}, vn.Endpoint(id), nil)
 		if (sc.canary || sc.rawCanary) && len(t.stores) > 1 && id == t.stores[1] {
 			n.debugSkipApply = true
 		}
 		if (sc.batchCanary || sc.rawBatchCanary) && id == t.stores[0] {
 			n.debugAckFullWindow = true
-		}
-		if sc.crashOwner && id == t.stores[0] {
-			victimStores = stores
 		}
 		nodes[i] = n
 		r.Spawn(t.nodeProc(i), n.Run)
@@ -439,12 +424,8 @@ func (sc cscenario) build(r *sched.Run, rng *rand.Rand) sim.Oracle {
 		for i, n := range nodes {
 			if NodeID(i) == victim {
 				// The victim's loop may have been crashed by the schedule:
-				// ask it to stop without waiting, and close its replica
-				// stores directly so their worker procs drain either way.
+				// ask it to stop without waiting.
 				n.closeAsyncOn(p)
-				for _, rs := range victimStores {
-					rs.CloseOn(p)
-				}
 				continue
 			}
 			n.CloseOn(p)
@@ -457,9 +438,6 @@ func (sc cscenario) build(r *sched.Run, rng *rand.Rand) sim.Oracle {
 			obsNet(sc.name, vn, nodes)
 		}
 		viol := checkRun(nodes, obs, sc.budget+1)
-		for _, vr := range vrs {
-			viol = append(viol, vr.CheckHistory()...)
-		}
 		if sc.canary || sc.batchCanary {
 			// Inverted verdict: when the injected bug produced a
 			// client-visible stale read, the checker MUST have flagged the

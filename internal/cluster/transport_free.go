@@ -18,7 +18,11 @@ type FreeConfig struct {
 	// (docs/PROTOCOL.md §3.7). Default 250ms.
 	PingEvery time.Duration
 	// DialBackoff is the minimum gap between dial attempts to one peer.
-	// Default 250ms.
+	// Until a peer has first connected, attempts start 1ms apart and
+	// double up to DialBackoff, so back-to-back process starts connect as
+	// soon as the peer listens; for the first DialBackoff + DialTimeout
+	// after start, frames to such a peer are held for that first
+	// connection instead of being dropped. Default 250ms.
 	DialBackoff time.Duration
 	// DialTimeout bounds one dial attempt. Default 500ms.
 	DialTimeout time.Duration
@@ -67,6 +71,7 @@ type FreeTransport struct {
 	peers []*freePeer
 	in    inbox
 	timer *time.Timer // recv's reused wakeup timer (event-loop goroutine only)
+	start time.Time
 
 	// drops is wired in by Node.New after construction; the accept and
 	// ping goroutines are already running by then, hence the atomic.
@@ -97,6 +102,7 @@ func NewFreeTransport(self NodeID, addrs []string, cfg FreeConfig) (*FreeTranspo
 		lis:     lis,
 		inConns: map[net.Conn]struct{}{},
 		stop:    make(chan struct{}),
+		start:   time.Now(),
 	}
 	ft.in.notify = make(chan struct{}, 1)
 	for id, addr := range addrs {
@@ -296,6 +302,7 @@ type freePeer struct {
 	conn    *wire.Conn
 	lastTry time.Time
 	closed  bool
+	dialed  bool   // a connection has been established at least once
 	buf     []byte // encoded frames awaiting flush
 	frames  int
 	spare   []byte // recycled flush buffer
@@ -310,12 +317,12 @@ func (p *freePeer) get() *wire.Conn {
 	return p.conn
 }
 
-// dial makes one backoff-gated connection attempt. Only pingLoop calls
-// it, and the network wait happens outside p.mu, so send/flush observe at
-// most a pointer read while a dial is hanging.
-func (p *freePeer) dial() {
+// dial makes one connection attempt unless the last one was less than gap
+// ago. Only pingLoop calls it, and the network wait happens outside p.mu,
+// so send/flush observe at most a pointer read while a dial is hanging.
+func (p *freePeer) dial(gap time.Duration) {
 	p.mu.Lock()
-	if p.closed || p.conn != nil || time.Since(p.lastTry) < p.ft.cfg.DialBackoff {
+	if p.closed || p.conn != nil || time.Since(p.lastTry) < gap {
 		p.mu.Unlock()
 		return
 	}
@@ -332,6 +339,7 @@ func (p *freePeer) dial() {
 	p.mu.Lock()
 	if !p.closed && p.conn == nil {
 		p.conn, c = c, nil
+		p.dialed = true
 	}
 	p.mu.Unlock()
 	if c != nil {
@@ -383,11 +391,19 @@ func (p *freePeer) send(m *message) {
 
 // flush writes the pending burst as one syscall. With no live connection
 // the burst is dropped and counted — the peer is unreachable and the
-// protocol retransmits.
+// protocol retransmits — except early on: a peer that has never connected
+// is most likely still starting, so until the first dial cycle has had
+// its chance (DialBackoff + DialTimeout from start) its burst, bounded by
+// maxCoalescedBytes, waits for the first connection instead.
 func (p *freePeer) flush() {
 	p.mu.Lock()
-	buf, frames := p.buf, p.frames
 	c := p.conn
+	if c == nil && !p.dialed && len(p.buf) < maxCoalescedBytes &&
+		time.Since(p.ft.start) < p.ft.cfg.DialBackoff+p.ft.cfg.DialTimeout {
+		p.mu.Unlock()
+		return
+	}
+	buf, frames := p.buf, p.frames
 	p.buf, p.frames = nil, 0
 	p.mu.Unlock()
 	if frames == 0 {
@@ -423,7 +439,19 @@ func (p *freePeer) reclaim(buf []byte) {
 
 func (p *freePeer) pingLoop() {
 	defer p.ft.wg.Done()
-	p.dial() // connect eagerly; redials ride the ticker below
+	// Connect eagerly. A peer that has never connected is most likely still
+	// starting, so retry fast and back off exponentially; redials after a
+	// lost connection ride the ticker below at the full DialBackoff.
+	for wait := time.Millisecond; ; wait = min(2*wait, p.ft.cfg.DialBackoff) {
+		if p.dial(0); p.get() != nil {
+			break
+		}
+		select {
+		case <-p.ft.stop:
+			return
+		case <-time.After(wait):
+		}
+	}
 	t := time.NewTicker(p.ft.cfg.PingEvery)
 	defer t.Stop()
 	for {
@@ -433,7 +461,7 @@ func (p *freePeer) pingLoop() {
 		case <-t.C:
 		}
 		if p.get() == nil {
-			p.dial()
+			p.dial(p.ft.cfg.DialBackoff)
 		}
 		if c := p.get(); c != nil {
 			if err := c.Ping(); err != nil {

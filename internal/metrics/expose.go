@@ -39,59 +39,7 @@ func (r *Registry) WriteProm(w io.Writer) error {
 // ContentType is the HTTP Content-Type of the text exposition format.
 const ContentType = "text/plain; version=0.0.4; charset=utf-8"
 
-// LabeledRegistry pairs a registry with constant labels stamped onto every
-// series it contributes to a merged exposition (WriteMultiProm).
-type LabeledRegistry struct {
-	Reg   *Registry
-	Extra Labels
-}
-
-// WriteMultiProm writes several registries as ONE valid exposition:
-// families sharing a name across registries are emitted under a single
-// # HELP/# TYPE block (the first contributor's help and type win), and
-// each registry's series carry its Extra labels, keeping merged series
-// distinct. Cluster-mode /metrics uses it to expose the node's cluster_*
-// registry alongside every shard replica store's service_* registry —
-// repeated TYPE lines or duplicate series would be an invalid scrape.
-func WriteMultiProm(w io.Writer, parts []LabeledRegistry) error {
-	type contrib struct {
-		f     *family
-		extra Labels
-	}
-	groups := map[string][]contrib{}
-	var names []string
-	for _, p := range parts {
-		p.Reg.mu.Lock()
-		for name, f := range p.Reg.families {
-			if _, ok := groups[name]; !ok {
-				names = append(names, name)
-			}
-			groups[name] = append(groups[name], contrib{f, p.Extra})
-		}
-		p.Reg.mu.Unlock()
-	}
-	sort.Strings(names)
-	var b strings.Builder
-	for _, name := range names {
-		b.Reset()
-		g := groups[name]
-		writeFamilyHeader(&b, g[0].f)
-		for _, c := range g {
-			writeFamilySeries(&b, c.f, c.extra)
-		}
-		if _, err := io.WriteString(w, b.String()); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 func writeFamily(b *strings.Builder, f *family) {
-	writeFamilyHeader(b, f)
-	writeFamilySeries(b, f, nil)
-}
-
-func writeFamilyHeader(b *strings.Builder, f *family) {
 	b.WriteString("# HELP ")
 	b.WriteString(f.name)
 	b.WriteByte(' ')
@@ -102,11 +50,7 @@ func writeFamilyHeader(b *strings.Builder, f *family) {
 	b.WriteByte(' ')
 	b.WriteString(f.kind.String())
 	b.WriteByte('\n')
-}
 
-// writeFamilySeries writes one family's sample lines, with extra labels
-// (when non-nil) merged into every series' label set.
-func writeFamilySeries(b *strings.Builder, f *family, extra Labels) {
 	if f.expand != nil {
 		// Dynamic family: collect, then sort for a stable exposition.
 		type dyn struct {
@@ -115,7 +59,7 @@ func writeFamilySeries(b *strings.Builder, f *family, extra Labels) {
 		}
 		var rows []dyn
 		f.expand(func(labels Labels, v float64) {
-			rows = append(rows, dyn{sig: signature(withExtra(canonical(labels), extra)), v: v})
+			rows = append(rows, dyn{sig: signature(canonical(labels)), v: v})
 		})
 		sort.Slice(rows, func(i, j int) bool { return rows[i].sig < rows[j].sig })
 		for _, row := range rows {
@@ -131,29 +75,24 @@ func writeFamilySeries(b *strings.Builder, f *family, extra Labels) {
 	ser := append([]*series(nil), f.series...)
 	sort.Slice(ser, func(i, j int) bool { return ser[i].sig < ser[j].sig })
 	for _, s := range ser {
-		labels, sig := s.labels, s.sig
-		if len(extra) > 0 {
-			labels = withExtra(labels, extra)
-			sig = signature(labels)
-		}
 		switch {
 		case s.hist != nil:
-			writeHistogram(b, f.name, s, labels, sig)
+			writeHistogram(b, f.name, s)
 		case s.fn != nil:
 			b.WriteString(f.name)
-			b.WriteString(sig)
+			b.WriteString(s.sig)
 			b.WriteByte(' ')
 			b.WriteString(formatValue(s.fn()))
 			b.WriteByte('\n')
 		case s.counter != nil:
 			b.WriteString(f.name)
-			b.WriteString(sig)
+			b.WriteString(s.sig)
 			b.WriteByte(' ')
 			b.WriteString(strconv.FormatInt(s.counter.Value(), 10))
 			b.WriteByte('\n')
 		case s.gauge != nil:
 			b.WriteString(f.name)
-			b.WriteString(sig)
+			b.WriteString(s.sig)
 			b.WriteByte(' ')
 			b.WriteString(strconv.FormatInt(s.gauge.Value(), 10))
 			b.WriteByte('\n')
@@ -161,39 +100,27 @@ func writeFamilySeries(b *strings.Builder, f *family, extra Labels) {
 	}
 }
 
-// withExtra merges extra labels into a sorted label set, re-canonicalizing
-// so signatures stay ordered. Callers ensure the names do not collide.
-func withExtra(labels Labels, extra Labels) Labels {
-	if len(extra) == 0 {
-		return labels
-	}
-	merged := make(Labels, 0, len(labels)+len(extra))
-	merged = append(merged, labels...)
-	merged = append(merged, extra...)
-	return canonical(merged)
-}
-
 // writeHistogram expands one histogram series into its cumulative bucket
 // lines plus _sum and _count. The snapshot is taken once, so one series'
 // buckets, sum and count are mutually consistent within a scrape.
-func writeHistogram(b *strings.Builder, name string, s *series, labels Labels, sig string) {
+func writeHistogram(b *strings.Builder, name string, s *series) {
 	snap := s.hist.Snapshot()
 	var cum int64
 	for i, bound := range snap.Bounds {
 		cum += snap.Counts[i]
-		writeBucket(b, name, labels, strconv.FormatInt(bound, 10), cum)
+		writeBucket(b, name, s.labels, strconv.FormatInt(bound, 10), cum)
 	}
 	cum += snap.Counts[len(snap.Counts)-1]
-	writeBucket(b, name, labels, "+Inf", cum)
+	writeBucket(b, name, s.labels, "+Inf", cum)
 	b.WriteString(name)
 	b.WriteString("_sum")
-	b.WriteString(sig)
+	b.WriteString(s.sig)
 	b.WriteByte(' ')
 	b.WriteString(strconv.FormatInt(snap.Sum, 10))
 	b.WriteByte('\n')
 	b.WriteString(name)
 	b.WriteString("_count")
-	b.WriteString(sig)
+	b.WriteString(s.sig)
 	b.WriteByte(' ')
 	b.WriteString(strconv.FormatInt(snap.Count, 10))
 	b.WriteByte('\n')

@@ -140,90 +140,3 @@ func TestFormatValue(t *testing.T) {
 		}
 	}
 }
-
-func TestWriteMultiProm(t *testing.T) {
-	// Two registries sharing a family name plus one family unique to each:
-	// the merge must emit ONE HELP/TYPE block per family (a repeated TYPE
-	// line is an invalid scrape) and keep the shared family's series
-	// distinct via the per-registry extra labels.
-	node := NewRegistry()
-	node.Counter("cluster_appends_total", "appends", nil).Add(4)
-	node.Counter("ops_total", "ops", Labels{{"role", "owner"}}).Add(2)
-	s0 := NewRegistry()
-	s0.Counter("ops_total", "ops", Labels{{"role", "owner"}}).Add(7)
-	s0.Gauge("keys", "resident keys", nil).Set(3)
-	s1 := NewRegistry()
-	s1.Counter("ops_total", "ops", Labels{{"role", "owner"}}).Add(9)
-	s1.Gauge("keys", "resident keys", nil).Set(5)
-
-	var sb strings.Builder
-	err := WriteMultiProm(&sb, []LabeledRegistry{
-		{Reg: node},
-		{Reg: s0, Extra: Labels{{"cluster_shard", "0"}}},
-		{Reg: s1, Extra: Labels{{"cluster_shard", "1"}}},
-	})
-	if err != nil {
-		t.Fatalf("WriteMultiProm: %v", err)
-	}
-	got := sb.String()
-	want := "# HELP cluster_appends_total appends\n" +
-		"# TYPE cluster_appends_total counter\n" +
-		"cluster_appends_total 4\n" +
-		"# HELP keys resident keys\n" +
-		"# TYPE keys gauge\n" +
-		`keys{cluster_shard="0"} 3` + "\n" +
-		`keys{cluster_shard="1"} 5` + "\n" +
-		"# HELP ops_total ops\n" +
-		"# TYPE ops_total counter\n" +
-		`ops_total{role="owner"} 2` + "\n" +
-		`ops_total{cluster_shard="0",role="owner"} 7` + "\n" +
-		`ops_total{cluster_shard="1",role="owner"} 9` + "\n"
-	if got != want {
-		t.Fatalf("merged exposition mismatch:\n got: %q\nwant: %q", got, want)
-	}
-	if strings.Count(got, "# TYPE ops_total") != 1 {
-		t.Fatalf("duplicate TYPE block for shared family:\n%s", got)
-	}
-}
-
-func TestWriteMultiPromExtraLabelsOnHistogram(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("lat", "latency", Labels{{"kind", "get"}}, []int64{2})
-	h.Observe(1)
-	h.Observe(5)
-	var sb strings.Builder
-	err := WriteMultiProm(&sb, []LabeledRegistry{
-		{Reg: r, Extra: Labels{{"cluster_shard", "3"}}},
-	})
-	if err != nil {
-		t.Fatalf("WriteMultiProm: %v", err)
-	}
-	got := sb.String()
-	for _, w := range []string{
-		`lat_bucket{cluster_shard="3",kind="get",le="2"} 1`,
-		`lat_bucket{cluster_shard="3",kind="get",le="+Inf"} 2`,
-		`lat_sum{cluster_shard="3",kind="get"} 6`,
-		`lat_count{cluster_shard="3",kind="get"} 2`,
-	} {
-		if !strings.Contains(got, w) {
-			t.Fatalf("missing %q in:\n%s", w, got)
-		}
-	}
-}
-
-func TestWriteMultiPromSingleMatchesWriteProm(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("a_total", "a", Labels{{"x", "1"}}).Add(3)
-	r.Histogram("h", "h", nil, []int64{1}).Observe(2)
-	r.ExpandFunc("d_total", "counter", "d", func(emit func(Labels, float64)) {
-		emit(Labels{{"p", "q"}}, 4)
-	})
-	var multi strings.Builder
-	if err := WriteMultiProm(&multi, []LabeledRegistry{{Reg: r}}); err != nil {
-		t.Fatalf("WriteMultiProm: %v", err)
-	}
-	if single := scrape(t, r); multi.String() != single {
-		t.Fatalf("single-registry merge diverges from WriteProm:\n got: %q\nwant: %q",
-			multi.String(), single)
-	}
-}

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/metrics"
 	"repro/internal/sched"
 	"repro/internal/spec"
 )
@@ -95,7 +96,7 @@ type window struct {
 	pending map[uint64]spec.Op
 }
 
-// auditor checks sampled per-key windows of the live history against the
+// Auditor checks sampled per-key windows of the live history against the
 // object's sequential specification, in the background. Soundness rests on
 // the per-key versions assigned by the replicated state machine: a window
 // is only ever checked when it is a gap-free slice of its key's history, so
@@ -103,9 +104,14 @@ type window struct {
 // never produce a false verdict. Windows are checked with an unconstrained
 // initial value (spec.CASRegisterModel.UnknownInit), which is exactly right
 // for a slice cut from the middle of a history.
-type auditor struct {
+type Auditor struct {
 	cfg AuditConfig
-	in  mailbox
+	// in is the record queue to the auditor proc; nil for an inline
+	// auditor, which checks windows synchronously inside Observe.
+	in mailbox
+	// windows is the per-key window table, owned by whoever feeds records
+	// (the auditor proc, or an inline auditor's single caller).
+	windows map[string]*window
 	// join blocks until the auditor proc has exited; the Store sets it when
 	// it spawns the auditor on the runtime.
 	join func(*sched.Proc)
@@ -125,22 +131,72 @@ type auditor struct {
 	samples        []string
 }
 
-// newAuditor builds an auditor on the runtime's mailbox. The caller spawns
-// a.run on the runtime (the auditor is a managed proc like the workers, so
-// a virtual run's policy can starve it).
-func newAuditor(cfg AuditConfig, rt Runtime) *auditor {
-	a := &auditor{cfg: cfg, in: rt.newMailbox(cfg.QueueDepth)}
+// NewAuditor starts a standalone auditor, for callers that order and
+// version ops themselves: cluster store nodes, whose Machines assign the
+// per-key versions, feed it each op they answer. Soundness needs the
+// contract the Store keeps — every observed op applied at its reported
+// version, inside its reported [call, ret] interval, one clock domain per
+// auditor. A background auditor checks windows on its own goroutine and
+// Observe never blocks (a full queue drops records, which costs coverage,
+// never soundness). An inline auditor checks them synchronously inside
+// Observe, for callers that must not start goroutines (procs of a
+// controlled sched.Run); its Observe must not be called concurrently.
+func NewAuditor(cfg AuditConfig, inline bool) *Auditor {
+	cfg = cfg.withDefaults()
+	if inline {
+		return newAuditor(cfg, nil)
+	}
+	rt := newFreeRuntime()
+	a := newAuditor(cfg, rt)
+	a.join = rt.spawn(a.run)
+	return a
+}
+
+// Close checks every window still open and stops the auditor; no Observe
+// may follow it.
+func (a *Auditor) Close() { a.close(nil) }
+
+// RegisterMetrics adds the auditor's counters to reg as the
+// <prefix>_audit_* families (see docs/OPERATIONS.md).
+func (a *Auditor) RegisterMetrics(reg *metrics.Registry, prefix string) {
+	reg.CounterFunc(prefix+"_audit_sampled_total",
+		"Committed ops accepted onto the audit queue.", nil,
+		func() float64 { return float64(a.sampled.Load()) })
+	reg.CounterFunc(prefix+"_audit_dropped_total",
+		"Audit records lost to queue or table bounds.", nil,
+		func() float64 { return float64(a.dropped.Load()) })
+	counter := func(name, help string, field *int64) {
+		reg.CounterFunc(prefix+name, help, nil, func() float64 {
+			a.mu.Lock()
+			defer a.mu.Unlock()
+			return float64(*field)
+		})
+	}
+	counter("_audit_windows_total", "Completed linearizability window checks.", &a.windowsChecked)
+	counter("_audit_violations_total", "Windows with no valid linearization.", &a.violations)
+	counter("_audit_truncated_total", "Windows skipped by the checker's size bound.", &a.truncated)
+	counter("_audit_gaps_total", "Windows discarded because sampling broke version contiguity.", &a.gaps)
+}
+
+// newAuditor builds an auditor on the runtime's mailbox (an inline one for
+// a nil runtime). The caller spawns a.run on the runtime (the auditor is a
+// managed proc like the workers, so a virtual run's policy can starve it).
+func newAuditor(cfg AuditConfig, rt Runtime) *Auditor {
+	a := &Auditor{cfg: cfg, windows: map[string]*window{}}
+	if rt != nil {
+		a.in = rt.newMailbox(cfg.QueueDepth)
+	}
 	a.setSampleFraction(cfg.SampleFraction)
 	return a
 }
 
 // setSampleFraction swaps the live sample fraction (config reload).
-func (a *auditor) setSampleFraction(f float64) {
+func (a *Auditor) setSampleFraction(f float64) {
 	a.sample.Store(math.Float64bits(f))
 }
 
 // sampled reports whether key is in the audited slice of the keyspace.
-func (a *auditor) sampledKey(key string) bool {
+func (a *Auditor) sampledKey(key string) bool {
 	f := math.Float64frombits(a.sample.Load())
 	if f >= 1 {
 		return true
@@ -148,31 +204,37 @@ func (a *auditor) sampledKey(key string) bool {
 	return float64(keyHash(key)%1024) < f*1024
 }
 
-// observe offers one committed op to the auditor. It never blocks: when the
-// queue is full the record is dropped, which the auditor will detect as a
-// version gap and discard the affected window.
-func (a *auditor) observe(proc int, r *request, ret int64) {
-	if !a.sampledKey(r.op.Key) {
+// Observe offers the auditor one committed op: op answered with res at
+// per-key version ver, over the logical interval [call, ret], as seen by
+// observer proc. It never blocks: when the queue is full the record is
+// dropped, which the auditor will detect as a version gap and discard the
+// affected window.
+func (a *Auditor) Observe(proc int, op Op, res Result, ver uint64, call, ret int64) {
+	if !a.sampledKey(op.Key) {
 		return
 	}
-	rec := auditRecord{key: r.op.Key, ver: r.ver, op: spec.Op{
+	rec := auditRecord{key: op.Key, ver: ver, op: spec.Op{
 		Proc: proc,
-		Call: r.call,
+		Call: call,
 		Ret:  ret,
 	}}
-	switch r.op.Kind {
+	switch op.Kind {
 	case OpGet:
-		rec.op.Method, rec.op.Out = "read", r.res.Val
+		rec.op.Method, rec.op.Out = "read", res.Val
 	case OpPut:
-		rec.op.Method, rec.op.In = "write", r.op.Val
+		rec.op.Method, rec.op.In = "write", op.Val
 	case OpCAS:
 		rec.op.Method = "cas"
-		rec.op.In = spec.CASInput{Old: r.op.Old, New: r.op.Val}
-		rec.op.Out = r.res.OK
+		rec.op.In = spec.CASInput{Old: op.Old, New: op.Val}
+		rec.op.Out = res.OK
 	}
-	if a.in.offer(rec) {
+	switch {
+	case a.in == nil:
 		a.sampled.Add(1)
-	} else {
+		a.feed(rec)
+	case a.in.offer(rec):
+		a.sampled.Add(1)
+	default:
 		a.dropped.Add(1)
 	}
 }
@@ -182,33 +244,42 @@ func (a *auditor) observe(proc int, r *request, ret int64) {
 // draining a channel; on the virtual runtime it is a scheduled proc whose
 // mailbox polls charge steps, so an adversarial policy can starve auditing
 // (which costs coverage, never soundness).
-func (a *auditor) run(p *sched.Proc) {
-	windows := make(map[string]*window)
+func (a *Auditor) run(p *sched.Proc) {
 	for {
 		rec, ok := a.in.take(p)
 		if !ok {
 			break
 		}
-		w := windows[rec.key]
-		if w == nil {
-			if len(windows) >= a.cfg.MaxTrackedKeys {
-				a.dropped.Add(1)
-				continue
-			}
-			w = &window{pending: make(map[uint64]spec.Op)}
-			windows[rec.key] = w
-		}
-		a.ingest(rec.key, w, rec)
+		a.feed(rec)
 	}
-	// Shutdown flush: every accumulated contiguous run is still a valid
-	// window; check them all.
-	keys := make([]string, 0, len(windows))
-	for key := range windows {
+	a.flush()
+}
+
+// feed threads one record into its key's window (tracking a new key only
+// while the table has room).
+func (a *Auditor) feed(rec auditRecord) {
+	w := a.windows[rec.key]
+	if w == nil {
+		if len(a.windows) >= a.cfg.MaxTrackedKeys {
+			a.dropped.Add(1)
+			return
+		}
+		w = &window{pending: make(map[uint64]spec.Op)}
+		a.windows[rec.key] = w
+	}
+	a.ingest(rec.key, w, rec)
+}
+
+// flush is the shutdown pass: every accumulated contiguous run is still a
+// valid window; check them all.
+func (a *Auditor) flush() {
+	keys := make([]string, 0, len(a.windows))
+	for key := range a.windows {
 		keys = append(keys, key)
 	}
 	sort.Strings(keys)
 	for _, key := range keys {
-		if w := windows[key]; len(w.ops) > 0 {
+		if w := a.windows[key]; len(w.ops) > 0 {
 			a.check(key, w.ops)
 		}
 	}
@@ -216,7 +287,7 @@ func (a *auditor) run(p *sched.Proc) {
 
 // ingest threads one record into its key's window, maintaining version
 // contiguity, and checks the window when it fills.
-func (a *auditor) ingest(key string, w *window, rec auditRecord) {
+func (a *Auditor) ingest(key string, w *window, rec auditRecord) {
 	switch {
 	case w.next == 0:
 		// Fresh window: adopt this record as the start of the run.
@@ -245,7 +316,7 @@ func (a *auditor) ingest(key string, w *window, rec auditRecord) {
 // advance drains parked records that restore contiguity and checks the
 // window every time it reaches WindowOps ops. After a completed window,
 // w.next stands: the next window continues the contiguous run.
-func (a *auditor) advance(key string, w *window) {
+func (a *Auditor) advance(key string, w *window) {
 	for {
 		if len(w.ops) >= a.cfg.WindowOps {
 			a.check(key, w.ops)
@@ -265,7 +336,7 @@ func (a *auditor) advance(key string, w *window) {
 // (a record was dropped). The accumulated contiguous prefix is still a
 // valid window — check it — then restart the run at the oldest parked
 // record.
-func (a *auditor) restart(key string, w *window) {
+func (a *Auditor) restart(key string, w *window) {
 	if len(w.ops) > 0 {
 		a.check(key, w.ops)
 		w.ops = w.ops[:0]
@@ -285,7 +356,7 @@ func (a *auditor) restart(key string, w *window) {
 
 // check runs the bounded linearizability check on one window and records
 // the verdict.
-func (a *auditor) check(key string, ops []spec.Op) {
+func (a *Auditor) check(key string, ops []spec.Op) {
 	res := spec.CheckBounded(spec.CASRegisterModel{UnknownInit: true}, ops, spec.MaxWindowOps)
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -305,13 +376,17 @@ func (a *auditor) check(key string, ops []spec.Op) {
 // close flushes and stops the auditor, joining its proc on behalf of p
 // (nil on the free runtime). Callers must guarantee no further observe
 // calls (the Store closes it only after all workers exit).
-func (a *auditor) close(p *sched.Proc) {
+func (a *Auditor) close(p *sched.Proc) {
+	if a.in == nil {
+		a.flush()
+		return
+	}
 	a.in.close()
 	a.join(p)
 }
 
-// stats snapshots the auditor's counters.
-func (a *auditor) stats() AuditStats {
+// Stats snapshots the auditor's counters.
+func (a *Auditor) Stats() AuditStats {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return AuditStats{

@@ -6,25 +6,19 @@ import (
 	"testing"
 )
 
-// testAuditor builds a standalone auditor on a fresh free runtime, as the
-// Store would, and starts its proc.
-func testAuditor(cfg AuditConfig) *auditor {
-	rt := newFreeRuntime()
-	a := newAuditor(cfg.withDefaults(), rt)
-	a.join = rt.spawn(a.run)
-	return a
-}
+// testAuditor builds a standalone background auditor, as a cluster node
+// would, and starts its proc.
+func testAuditor(cfg AuditConfig) *Auditor { return NewAuditor(cfg, false) }
 
 // feed hands the auditor one completed op with explicit version and
 // timestamps, as the shard workers would post-commit.
-func feed(a *auditor, key string, ver uint64, call, ret int64, op Op, res Result) {
-	r := &request{op: op, call: call, res: res, ver: ver}
-	a.observe(0, r, ret)
+func feed(a *Auditor, key string, ver uint64, call, ret int64, op Op, res Result) {
+	a.Observe(0, op, res, ver, call, ret)
 }
 
-func drainAndStats(a *auditor) AuditStats {
+func drainAndStats(a *Auditor) AuditStats {
 	a.close(nil)
-	return a.stats()
+	return a.Stats()
 }
 
 // TestAuditorCleanWindow: a correct contiguous history checks clean, and

@@ -102,27 +102,7 @@ func newStoreMetrics(s *Store, virtual bool) *storeMetrics {
 		func() float64 { return float64(s.sparesExhausted.Load()) })
 
 	if a := s.audit; a != nil {
-		m.reg.CounterFunc("service_audit_sampled_total",
-			"Committed ops accepted onto the audit queue.", nil,
-			func() float64 { return float64(a.sampled.Load()) })
-		m.reg.CounterFunc("service_audit_dropped_total",
-			"Audit records lost to queue or table bounds.", nil,
-			func() float64 { return float64(a.dropped.Load()) })
-		auditCounter := func(name, help string, field *int64) {
-			m.reg.CounterFunc(name, help, nil, func() float64 {
-				a.mu.Lock()
-				defer a.mu.Unlock()
-				return float64(*field)
-			})
-		}
-		auditCounter("service_audit_windows_total",
-			"Completed linearizability window checks.", &a.windowsChecked)
-		auditCounter("service_audit_violations_total",
-			"Windows with no valid linearization.", &a.violations)
-		auditCounter("service_audit_truncated_total",
-			"Windows skipped by the checker's size bound.", &a.truncated)
-		auditCounter("service_audit_gaps_total",
-			"Windows discarded because sampling broke version contiguity.", &a.gaps)
+		a.RegisterMetrics(m.reg, "service")
 	}
 
 	if f := s.faults; f != nil {

@@ -155,7 +155,7 @@ func (c Config) withDefaults() Config {
 		c.MaxBatch = 64
 	}
 	if c.MaxDedup <= 0 {
-		c.MaxDedup = 4096
+		c.MaxDedup = DefaultMaxDedup
 	}
 	c.Audit = c.Audit.withDefaults()
 	c.Supervise = c.Supervise.withDefaults()
@@ -213,7 +213,7 @@ type Store struct {
 	rec    *historyRecorder // complete-history capture; nil on the free runtime
 	clock  atomic.Int64     // logical time for audit intervals
 	shards []*shard
-	audit  *auditor                 // nil when auditing is disabled
+	audit  *Auditor                 // nil when auditing is disabled
 	faults *fault.Set               // nil when fault injection is disarmed
 	mets   *storeMetrics            // always-on observability (see metrics.go)
 	tun    atomic.Pointer[Tunables] // live-reloadable knobs (see reload.go)
@@ -350,7 +350,7 @@ func (s *Store) Metrics() *metrics.Registry { return s.mets.reg }
 // virtual runtime use DoOn (or DoTimeoutOn for deadline-bounded waits)
 // from a proc of the store's run.
 func (s *Store) Do(ctx context.Context, op Op) (Result, error) {
-	return s.do(nil, ctx, op)
+	return s.do(nil, ctx, op, 0)
 }
 
 // DoOn is Do for virtual-runtime clients: p is the submitting proc of the
@@ -358,7 +358,7 @@ func (s *Store) Do(ctx context.Context, op Op) (Result, error) {
 // a cooperative Park on p — the run's policy decides when the submitter
 // advances. It also works on the free runtime with a free-mode proc.
 func (s *Store) DoOn(p *sched.Proc, op Op) (Result, error) {
-	return s.do(p, context.Background(), op)
+	return s.do(p, context.Background(), op, 0)
 }
 
 // DoTimeoutOn is DoOn with a completion deadline of timeout runtime clock
@@ -367,28 +367,7 @@ func (s *Store) DoOn(p *sched.Proc, op Op) (Result, error) {
 // wait — backpressure on a full queue still blocks, and an ErrDeadline'd
 // command may still commit (see Do); retry with the same Op.ID.
 func (s *Store) DoTimeoutOn(p *sched.Proc, op Op, timeout int64) (Result, error) {
-	if op.Kind >= NumOpKinds {
-		return Result{}, fmt.Errorf("service: invalid op kind %d", op.Kind)
-	}
-	if err := s.fireSend(p); err != nil {
-		return Result{}, err
-	}
-	r := s.rt.newRequest(p, op)
-	sh := s.shardOf(op.Key)
-	if err := s.rt.beginSubmit(); err != nil {
-		return Result{}, err
-	}
-	r.call = s.clock.Add(1)
-	err := sh.q.send(p, context.Background(), r)
-	s.rt.endSubmit()
-	if err != nil {
-		return Result{}, err
-	}
-	s.mets.inflight.AddAt(sh.id, 1)
-	if err := s.rt.awaitUntil(p, r, s.rt.now(p)+timeout); err != nil {
-		return Result{}, err
-	}
-	return r.res, nil
+	return s.do(p, context.Background(), op, timeout)
 }
 
 // fireSend fires the queue.send fault point on the single-op submit path.
@@ -412,7 +391,10 @@ func (s *Store) fireSend(p *sched.Proc) error {
 	return nil
 }
 
-func (s *Store) do(p *sched.Proc, ctx context.Context, op Op) (Result, error) {
+// do submits one command and waits for its result. A positive timeout
+// bounds the completion wait, in runtime clock units from submission;
+// otherwise ctx does.
+func (s *Store) do(p *sched.Proc, ctx context.Context, op Op, timeout int64) (Result, error) {
 	if op.Kind >= NumOpKinds {
 		return Result{}, fmt.Errorf("service: invalid op kind %d", op.Kind)
 	}
@@ -431,7 +413,12 @@ func (s *Store) do(p *sched.Proc, ctx context.Context, op Op) (Result, error) {
 		return Result{}, err
 	}
 	s.mets.inflight.AddAt(sh.id, 1)
-	if err := s.rt.await(p, ctx, r); err != nil {
+	if timeout > 0 {
+		err = s.rt.awaitUntil(p, r, s.rt.now(p)+timeout)
+	} else {
+		err = s.rt.await(p, ctx, r)
+	}
+	if err != nil {
 		return Result{}, err
 	}
 	return r.res, nil
@@ -668,7 +655,7 @@ func (s *Store) Stats() Stats {
 	st.Supervision.SparesExhausted = s.sparesExhausted.Load()
 	st.Supervision.Recovery = summarize(recovery)
 	if s.audit != nil {
-		st.Audit = s.audit.stats()
+		st.Audit = s.audit.Stats()
 	}
 	st.Faults = s.faults.Stats()
 	return st

@@ -28,42 +28,6 @@ type request struct {
 	answered  bool
 }
 
-// entry is one key's slot in the shard state machine: its value, whether a
-// write has ever materialized it (a get on a missing key must keep
-// reporting OK=false), and the number of commands ever applied to it.
-// Versions are decided by the replicated log, so every replica assigns
-// identical versions — they are the gap-free ground truth the online
-// auditor keys its windows on.
-type entry struct {
-	val    string
-	exists bool
-	ver    uint64
-}
-
-// dedupEntry is the remembered outcome of an identified op, replayed to
-// retries of the same op ID instead of re-applying them.
-type dedupEntry struct {
-	res Result
-	ver uint64
-}
-
-// kvState is one replica's materialized state: the key map plus the
-// dedup table for client-assigned op IDs. Because the table is part of the
-// replicated state machine — mutated only inside apply, in log order —
-// every replica agrees on exactly which retry was a duplicate, and a
-// timed-out client may resubmit with the same ID without risking a
-// double-apply. order is the FIFO eviction queue bounding the table at
-// Config.MaxDedup remembered IDs.
-type kvState struct {
-	keys  map[string]entry
-	dedup map[uint64]dedupEntry
-	order []uint64
-}
-
-func newKVState() kvState {
-	return kvState{keys: map[string]entry{}, dedup: map[uint64]dedupEntry{}}
-}
-
 // batch is one log command: a group of client commands committed at a
 // single log position. Batches are compared by pointer identity, which is
 // exactly the "commands must be globally unique" requirement of
@@ -112,7 +76,7 @@ func newShard(s *Store, id int) *shard {
 	for wi := 0; wi < s.cfg.WorkersPerShard; wi++ {
 		sl := &slot{sh: sh, idx: wi, gid: sh.id*s.cfg.WorkersPerShard + wi}
 		sl.committed.Init(fmt.Sprintf("shard%d/committed%d", id, wi), 0)
-		sl.rep = universal.NewReplica[kvState, *batch](sh.log, newKVState(), sl.applyBatch)
+		sl.rep = universal.NewReplica[*Machine, *batch](sh.log, NewMachine(s.cfg.MaxDedup), sl.applyBatch)
 		sl.buf = make([]*request, 0, s.cfg.MaxBatch)
 		sh.slots = append(sh.slots, sl)
 	}
@@ -154,7 +118,7 @@ type slot struct {
 	sh  *shard
 	idx int // index within the shard
 	gid int // global worker id; doubles as the audit process id, stable across restarts
-	rep *universal.Replica[kvState, *batch]
+	rep *universal.Replica[*Machine, *batch]
 
 	// committed publishes this slot's replica position (single writer —
 	// incarnations are serialized by the supervisor handoff; read lock-free
@@ -372,7 +336,7 @@ func (sl *slot) finish(p *sched.Proc, b *batch) {
 		if a := st.audit; a != nil {
 			for _, r := range b.reqs {
 				if !st.firePoint(p, FaultAuditRecord) {
-					a.observe(sl.gid, r, ret)
+					a.Observe(sl.gid, r.op, r.res, r.ver, r.call, ret)
 				}
 			}
 		}
@@ -382,19 +346,16 @@ func (sl *slot) finish(p *sched.Proc, b *batch) {
 	}
 }
 
-// applyBatch is the deterministic state machine. It runs once per log
-// command on every replica of the shard; each replica mutates only its own
-// state. The batch's owner additionally records results and per-key
-// versions into the requests — exactly once, since its replica applies
-// each position exactly once — and, under the virtual runtime, whichever
-// replica applies a position first captures the batch's ground-truth
-// results into the complete-history recorder.
-//
-// Identified ops (op.ID != 0) are deduplicated against the replicated
-// dedup table: a retry of an already-applied ID replays the remembered
-// result instead of mutating state, so timeout-and-retry is exactly-once
-// up to MaxDedup remembered IDs.
-func (sl *slot) applyBatch(m kvState, b *batch) kvState {
+// applyBatch feeds one log command to this replica's Machine. It runs
+// once per log command on every replica of the shard; each replica mutates
+// only its own Machine. Around the pure state machine it keeps the
+// serving-tier hooks: the batch's owner fires the worker.preApply fault
+// point, counts dedup hits, and records results and per-key versions into
+// the requests — exactly once, since its replica applies each position
+// exactly once — and, under the virtual runtime, whichever replica applies
+// a position first captures the batch's ground-truth results into the
+// complete-history recorder.
+func (sl *slot) applyBatch(m *Machine, b *batch) *Machine {
 	if b == nil {
 		// Sync's noop: never decided into a cell (catchUp only syncs below
 		// the frontier, where every position already holds a real batch),
@@ -415,71 +376,55 @@ func (sl *slot) applyBatch(m kvState, b *batch) kvState {
 		b.recorded = true
 		ret = st.clock.Add(1)
 	}
+	canary := st.debugNoDedup || st.debugDropPuts != ""
 	for _, r := range b.reqs {
-		if id := r.op.ID; id != 0 {
-			if c, hit := m.dedup[id]; hit {
-				if own {
-					st.mets.dedupHits.IncAt(sl.gid)
-				}
-				if !st.debugNoDedup {
-					if own {
-						r.res, r.ver = c.res, c.ver
-					}
-					if record {
-						st.rec.recordDup(r)
-					}
-					continue
-				}
-				// Canary mode: the short-circuit is disabled, so the retry
-				// falls through and double-applies. Count the ground truth
-				// at the point of sin (once — on the owner's replica) so the
-				// must-detect oracle can compare it against the checker's
-				// verdict.
-				if own {
-					st.debugDoubles.Add(1)
-				}
-			}
-		}
-		e := m.keys[r.op.Key]
-		e.ver++
 		var res Result
-		switch r.op.Kind {
-		case OpGet:
-			res = Result{Val: e.val, OK: e.exists}
-		case OpPut:
-			res = Result{Val: r.op.Val, OK: true}
-			if st.debugDropPuts == "" || r.op.Key != st.debugDropPuts {
-				e.val, e.exists = r.op.Val, true
-			}
-		case OpCAS:
-			if e.val == r.op.Old {
-				e.val, e.exists = r.op.Val, true
-				res = Result{Val: r.op.Val, OK: true}
-			} else {
-				res = Result{Val: e.val, OK: false}
-			}
+		var ver uint64
+		var dup bool
+		if canary {
+			res, ver, dup = st.canaryApply(m, r.op)
+		} else {
+			res, ver, dup = m.Apply(r.op)
 		}
-		m.keys[r.op.Key] = e
+		if dup && own {
+			st.mets.dedupHits.IncAt(sl.gid)
+		}
 		if own {
-			r.res = res
-			r.ver = e.ver
+			r.res, r.ver = res, ver
 		}
-		if id := r.op.ID; id != 0 {
-			if _, hit := m.dedup[id]; !hit {
-				m.dedup[id] = dedupEntry{res: res, ver: e.ver}
-				m.order = append(m.order, id)
-				if len(m.order) > st.cfg.MaxDedup {
-					delete(m.dedup, m.order[0])
-					m.order = m.order[1:]
-					if cap(m.order) > 4*st.cfg.MaxDedup {
-						m.order = append([]uint64(nil), m.order...)
-					}
-				}
+		if dup && !st.debugNoDedup {
+			if record {
+				st.rec.recordDup(r)
 			}
+			continue
+		}
+		if dup && own {
+			// Canary mode: the retry double-applied. Count the ground truth
+			// at the point of sin (once — on the owner's replica) so the
+			// must-detect oracle can compare it against the checker's
+			// verdict.
+			st.debugDoubles.Add(1)
 		}
 		if record {
-			st.rec.record(r, res, e.ver, ret)
+			st.rec.record(r, res, ver, ret)
 		}
 	}
 	return m
+}
+
+// canaryApply is Machine.Apply with the injected canary bugs: under
+// debugNoDedup a retry of a remembered op ID falls through and
+// double-applies (dup still reports the hit), and puts on debugDropPuts
+// are acknowledged without being stored.
+func (st *Store) canaryApply(m *Machine, op Op) (res Result, ver uint64, dup bool) {
+	if op.ID != 0 {
+		if _, dup = m.dedup[op.ID]; dup && !st.debugNoDedup {
+			return m.Apply(op)
+		}
+	}
+	res, ver = m.step(op, op.Kind != OpPut || op.Key != st.debugDropPuts)
+	if !dup {
+		m.remember(op.ID, res, ver)
+	}
+	return res, ver, dup
 }

@@ -463,12 +463,20 @@ func TestShutdownForceClosesHungConns(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(lis) }()
 
-	// A connection that sits there holding the accept open.
+	// A connection that sits there holding the accept open. Dial returns
+	// once the kernel completes the handshake, which can be before the
+	// accept loop tracks the conn; wait for that, or Shutdown would find
+	// nothing to force-close.
 	nc, err := net.Dial("tcp", lis.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer nc.Close()
+	for tracked := 0; tracked == 0; time.Sleep(time.Millisecond) {
+		srv.mu.Lock()
+		tracked = len(srv.conns)
+		srv.mu.Unlock()
+	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
