@@ -2,22 +2,11 @@ package main
 
 import (
 	"fmt"
-	"runtime"
 
 	"repro/internal/common2"
 	"repro/internal/explore"
 	"repro/internal/sched"
 )
-
-// exploreWorkers sizes the worker pool for the E8/E9 explorations: the
-// sharded engine on every CPU, capped so small models don't pay fan-out.
-func exploreWorkers() int {
-	w := runtime.GOMAXPROCS(0)
-	if w > 8 {
-		w = 8
-	}
-	return w
-}
 
 // expValence regenerates E8: the Section 3 lemma machinery, model-checked.
 func expValence(_ int) error {
@@ -52,7 +41,7 @@ func expValence(_ int) error {
 	_ = viol
 
 	fmt.Println("model: register-only OF consensus (2 rounds), inputs (0,1)")
-	of, err := explore.ExploreParallel(explore.OFModel{Rounds: 2}, []int{0, 1}, 2000000, exploreWorkers())
+	of, err := explore.Explore(explore.OFModel{Rounds: 2}, []int{0, 1}, 2000000)
 	if err != nil {
 		return err
 	}
@@ -69,7 +58,7 @@ func expValence(_ int) error {
 	_ = ofViol
 
 	fmt.Println("model: Figure 5 group consensus (2 singleton groups), inputs (0,1)")
-	gm, err := explore.ExploreParallel(explore.GroupModel{}, []int{0, 1}, 2000000, exploreWorkers())
+	gm, err := explore.Explore(explore.GroupModel{}, []int{0, 1}, 2000000)
 	if err != nil {
 		return err
 	}
@@ -159,15 +148,15 @@ func expCommon2(seeds int) error {
 	v3, bad3 := g3.CheckAgreement()
 	fmt.Printf("  T&S protocol, 3 processes: states=%d agreement-violation=%v (want true; e.g. p%d=%d vs p%d=%d)\n",
 		g3.Size(), bad3, v3.P, v3.VP, v3.Q, v3.VQ)
-	// The parallel engine pushes the same exhaustive check past what the
-	// string-keyed sequential checker was run on: the violation persists for
+	// The binary-key BFS pushes the same exhaustive check past what the
+	// original string-keyed checker was run on: the violation persists for
 	// every wider T&S protocol, as consensus number 2 predicts.
 	for _, procs := range []int{4, 5} {
 		inputs := make([]int, procs)
 		for i := range inputs {
 			inputs[i] = i % 2
 		}
-		gp, err := explore.ExploreParallel(explore.TASModel{Procs: procs}, inputs, 2000000, exploreWorkers())
+		gp, err := explore.Explore(explore.TASModel{Procs: procs}, inputs, 2000000)
 		if err != nil {
 			return err
 		}

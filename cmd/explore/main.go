@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	explore [-model NAME] [-workers N] [-inputs CSV] [-rounds R] [-limit S]
+//	explore [-model NAME] [-inputs CSV] [-rounds R] [-limit S]
 //
 // Built-in models (-model):
 //
@@ -15,22 +15,20 @@
 //	tas2 … tas6 — the test&set consensus protocol for 2…6 processes
 //	          (consensus number 2: tas2 is correct, tas3+ violate agreement)
 //
-// -workers selects the exploration engine: 1 runs the sequential BFS, >1
-// runs the sharded parallel engine with that many goroutines, 0 uses one
-// per CPU. The report is identical for every worker count — state indices
-// never appear in it, only numbering-independent counts and verdicts — so
-// `explore -workers 1` and `explore -workers 8` outputs can be diffed, which
-// is exactly what the CI explore-smoke job does. Timing and throughput go
-// to stderr.
+// The report on stdout holds only counts and verdicts, never state indices,
+// so it is deterministic; cmd/explore/testdata holds the report of every
+// built-in model, which main_test.go checks. Timing and throughput go to
+// stderr.
 //
-// -inputs is a comma-separated per-process input assignment. Without it the
-// pre-parallel CLI default applies: process 0 proposes -in0 and every other
-// process proposes -in1.
+// -inputs is a comma-separated per-process input assignment, each value in
+// [0, 16). Without it process 0 proposes -in0 and every other process
+// proposes -in1.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strconv"
@@ -41,7 +39,7 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "explore:", err)
 		os.Exit(1)
 	}
@@ -67,15 +65,17 @@ func newModel(name string, rounds int) (p explore.Protocol, isOF bool, err error
 	}
 }
 
-func run(args []string) error {
+// run parses args, explores the chosen model and writes its report to out;
+// timing goes to errOut.
+func run(args []string, out, errOut io.Writer) error {
 	fs := flag.NewFlagSet("explore", flag.ContinueOnError)
+	fs.SetOutput(errOut)
 	model := fs.String("model", "gated", "protocol model: gated | group | of | of8 | tas2..tas6")
-	inputsCSV := fs.String("inputs", "", "comma-separated per-process inputs (default: alternating 0,1,...)")
+	inputsCSV := fs.String("inputs", "", "comma-separated per-process inputs (default: -in0 for process 0, -in1 for the rest)")
 	in0 := fs.Int("in0", 0, "input of process 0 (ignored when -inputs is set)")
 	in1 := fs.Int("in1", 1, "input of every other process (ignored when -inputs is set)")
 	rounds := fs.Int("rounds", 2, "round cap for the of model")
 	limit := fs.Int("limit", 2000000, "state budget")
-	workers := fs.Int("workers", 1, "exploration workers: 1 = sequential engine, >1 = parallel engine, 0 = one per CPU")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -99,8 +99,7 @@ func run(args []string) error {
 			inputs[i] = v
 		}
 	} else {
-		// Compatibility default (matches the pre-parallel CLI): process 0
-		// gets -in0, every other process gets -in1.
+		// Process 0 gets -in0, every other process gets -in1.
 		inputs[0] = *in0
 		for i := 1; i < len(inputs); i++ {
 			inputs[i] = *in1
@@ -108,37 +107,36 @@ func run(args []string) error {
 	}
 
 	t0 := time.Now()
-	g, err := explore.ExploreParallel(p, inputs, *limit, *workers)
+	g, err := explore.Explore(p, inputs, *limit)
 	if err != nil {
 		return err
 	}
 	elapsed := time.Since(t0)
-	fmt.Fprintf(os.Stderr, "explored %d states in %v (%.0f states/s, workers=%d)\n",
-		g.Size(), elapsed, float64(g.Size())/elapsed.Seconds(), *workers)
+	fmt.Fprintf(errOut, "explored %d states in %v (%.0f states/s)\n",
+		g.Size(), elapsed, float64(g.Size())/elapsed.Seconds())
 
 	// Everything below is numbering-independent: counts, valences and
-	// verdicts only, never state indices, so reports diff clean across
-	// engines and worker counts.
-	fmt.Printf("model %s, inputs %v\n", *model, inputs)
-	fmt.Printf("reachable states:  %d\n", g.Size())
-	fmt.Printf("initial valence:   %v\n", g.InitialValence())
+	// verdicts only, never state indices.
+	fmt.Fprintf(out, "model %s, inputs %v\n", *model, inputs)
+	fmt.Fprintf(out, "reachable states:  %d\n", g.Size())
+	fmt.Fprintf(out, "initial valence:   %v\n", g.InitialValence())
 
 	if _, bad := g.CheckAgreement(); bad {
-		fmt.Printf("agreement:         VIOLATED (some reachable state has two conflicting decisions)\n")
+		fmt.Fprintf(out, "agreement:         VIOLATED (some reachable state has two conflicting decisions)\n")
 	} else {
-		fmt.Printf("agreement:         holds (exhaustive)\n")
+		fmt.Fprintf(out, "agreement:         holds (exhaustive)\n")
 	}
-	fmt.Printf("validity:          %v (exhaustive)\n", g.CheckValidity(inputs))
+	fmt.Fprintf(out, "validity:          %v (exhaustive)\n", g.CheckValidity(inputs))
 
 	for pid := 0; pid < p.N(); pid++ {
 		if idx := g.FindDecider(pid, 10000); idx >= 0 {
-			fmt.Printf("decider:           p%d is a decider at a bivalent state (exhaustive check: %v)\n",
+			fmt.Fprintf(out, "decider:           p%d is a decider at a bivalent state (exhaustive check: %v)\n",
 				pid, g.IsDecider(idx, pid))
 		}
 	}
 
 	pairs := g.FindCriticalPairs()
-	fmt.Printf("critical configs:  %d\n", len(pairs))
+	fmt.Fprintf(out, "critical configs:  %d\n", len(pairs))
 	// Aggregate by (p, q, objects) — the multiset is numbering-independent.
 	agg := map[string]int{}
 	for _, c := range pairs {
@@ -152,14 +150,14 @@ func run(args []string) error {
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		fmt.Printf("  %s: %d\n", k, agg[k])
+		fmt.Fprintf(out, "  %s: %d\n", k, agg[k])
 	}
 
 	if isOF {
 		pump := g.FindReachable(g.Initial(), func(s explore.State) bool {
 			return explore.AtRoundBoundary(s, 1)
 		})
-		fmt.Printf("livelock pump:     found=%v\n", pump >= 0)
+		fmt.Fprintf(out, "livelock pump:     found=%v\n", pump >= 0)
 	}
 	return nil
 }

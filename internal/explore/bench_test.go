@@ -1,13 +1,12 @@
 package explore
 
 // Explorer benchmark family (P5 in EXPERIMENTS.md): state throughput and
-// per-state allocation of both engines. Each benchmark reports a
-// deterministic `states` metric (the reachable-set size, identical across
-// engines and worker counts) and a `states/s` throughput metric; divide the
-// harness's allocs/op by `states` for allocs/state.
+// per-state allocation of the BFS engine. Each benchmark reports a
+// deterministic `states` metric (the reachable-set size) and a `states/s`
+// throughput metric; divide the harness's allocs/op by `states` for
+// allocs/state.
 
 import (
-	"fmt"
 	"testing"
 )
 
@@ -19,8 +18,7 @@ type benchModel struct {
 
 // benchModels is the workload ladder: gated (25 states) measures pure
 // engine overhead, of8 (5.4k) a register-heavy model with wide states,
-// tas4/tas5 (743 / 9.4k) the multi-process interleaving blowup that the
-// parallel engine exists for.
+// tas4/tas5 (743 / 9.4k) the multi-process interleaving blowup.
 func benchModels() []benchModel {
 	return []benchModel{
 		{"gated", GatedModel{}, []int{0, 1}},
@@ -51,31 +49,6 @@ func BenchmarkExploreSeq(b *testing.B) {
 			}
 			reportStates(b, states)
 		})
-	}
-}
-
-// BenchmarkExplorePar measures the sharded worker-pool engine across worker
-// counts on the heaviest ladder model; states/s across the workers subruns
-// is the explorer scaling table of EXPERIMENTS.md.
-func BenchmarkExplorePar(b *testing.B) {
-	for _, m := range benchModels() {
-		if m.name != "tas5" && m.name != "of8" {
-			continue
-		}
-		for _, workers := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("%s/workers=%d", m.name, workers), func(b *testing.B) {
-				b.ReportAllocs()
-				var states int
-				for i := 0; i < b.N; i++ {
-					g, err := ExploreParallel(m.p, m.inputs, 20000000, workers)
-					if err != nil {
-						b.Fatal(err)
-					}
-					states = g.Size()
-				}
-				reportStates(b, states)
-			})
-		}
 	}
 }
 

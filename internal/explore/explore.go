@@ -24,11 +24,8 @@
 // Section 3.5), and searches for livelock pumps (fault-free non-deciding
 // infinite runs, the executable content of Theorem 4).
 //
-// Two engines build the same graph: Explore is the sequential BFS, and
-// ExploreParallel (parallel.go) shards the interning table and drives a
-// worker pool over per-shard frontier queues. Both produce graphs whose
-// Size, valences and analysis verdicts are identical; only the internal
-// node numbering may differ.
+// Explore builds the graph with a sequential BFS that interns states on
+// their compact binary keys (State.AppendKey).
 package explore
 
 import (
@@ -36,8 +33,6 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"sync"
-	"sync/atomic"
 )
 
 // State is a protocol state. Implementations must make the key encoding
@@ -48,14 +43,7 @@ type State interface {
 	// reachable states of one exploration (it may omit components that are
 	// constant across the run, such as the input assignment).
 	AppendKey(dst []byte) []byte
-	// Key returns the encoding as a string. It is a compatibility shim over
-	// AppendKey; the engines intern on the binary form.
-	Key() string
 }
-
-// keyString renders a state's binary key as a string; models use it to
-// implement the Key compatibility shim.
-func keyString(s State) string { return string(s.AppendKey(nil)) }
 
 // boolByte encodes a bool as one key byte.
 func boolByte(b bool) byte {
@@ -90,8 +78,12 @@ type Protocol interface {
 }
 
 // Valence is the set of decision values reachable from a state, as a bitmask
-// (bit v set means value v is reachable in some extension).
+// (bit v set means value v is reachable in some extension). Decision values
+// must therefore lie in [0, maxDecision); Explore rejects any other.
 type Valence uint16
+
+// maxDecision bounds the decision values a Valence can hold.
+const maxDecision = 16
 
 // Bivalent reports whether at least two distinct decision values are
 // reachable.
@@ -118,7 +110,7 @@ func (v Valence) String() string {
 	case v.Bivalent():
 		return "bivalent"
 	default:
-		for i := 0; i < 16; i++ {
+		for i := 0; i < maxDecision; i++ {
 			if v.Has(i) {
 				return fmt.Sprintf("%d-valent", i)
 			}
@@ -143,18 +135,15 @@ type node struct {
 }
 
 // Graph is the reachable state graph of a protocol under one input
-// assignment, with valences computed. Graphs are built by Explore or
-// ExploreParallel; the analysis methods are not safe for concurrent use on
-// one Graph (they share a memoized reachability cache), but they parallelize
-// internally over node ranges when the graph was built with multiple
-// workers.
+// assignment, with valences computed. Graphs are built by Explore; the
+// analysis methods are not safe for concurrent use on one Graph (they share
+// a memoized reachability cache).
 type Graph struct {
-	p       Protocol
-	nodes   []node
-	index   map[string]int32
-	init    int32
-	workers int
-	keyBuf  []byte
+	p      Protocol
+	nodes  []node
+	index  map[string]int32
+	init   int32
+	keyBuf []byte
 	// reach memoizes the most recent reachableFrom results keyed by start
 	// index, so the decider searches (FindDecider followed by IsDecider on
 	// its result, as in the E8 critical-pair experiment) do not recompute
@@ -170,63 +159,74 @@ type Graph struct {
 // (each entry is Size() bytes).
 const reachCacheMax = 8
 
-// parallelThreshold is the graph size below which the analysis passes stay
-// sequential even on a multi-worker graph: goroutine fan-out costs more than
-// it saves on small graphs.
-const parallelThreshold = 4096
-
 // localValence returns the bitmask of values decided by some process at s.
-func localValence(p Protocol, s State) Valence {
+// A decision outside [0, maxDecision) has no bit in a Valence, so it is an
+// error rather than silently dropped.
+func localValence(p Protocol, s State) (Valence, error) {
 	var local Valence
 	for pid := 0; pid < p.N(); pid++ {
-		if v, ok := p.Decision(s, pid); ok && v >= 0 && v < 16 {
-			local |= 1 << uint(v)
+		v, ok := p.Decision(s, pid)
+		if !ok {
+			continue
 		}
+		if v < 0 || v >= maxDecision {
+			return 0, fmt.Errorf("explore: p%d decides %d, outside the valence range [0,%d)", pid, v, maxDecision)
+		}
+		local |= 1 << uint(v)
 	}
-	return local
+	return local, nil
 }
 
 // Explore builds the reachable graph from the protocol's initial state for
 // the given inputs, visiting at most limit states, and computes all
-// valences. It returns ErrLimit if the budget is exceeded.
+// valences. It returns ErrLimit if the budget is exceeded, and an error
+// naming the value if an input or a reachable decision lies outside
+// [0, maxDecision). Inputs are checked up front because every model encodes
+// "undecided" as -1, so a -1 input could never surface as a decision.
 func Explore(p Protocol, inputs []int, limit int) (*Graph, error) {
-	return exploreSeq(p, inputs, limit, 1)
-}
-
-// exploreSeq is the sequential BFS engine; workers only records how many
-// goroutines the analysis passes may use.
-func exploreSeq(p Protocol, inputs []int, limit, workers int) (*Graph, error) {
-	g := &Graph{p: p, index: make(map[string]int32), workers: workers}
-	s0 := p.Initial(inputs)
-	g.init = g.intern(s0)
+	for pid, v := range inputs {
+		if v < 0 || v >= maxDecision {
+			return nil, fmt.Errorf("explore: p%d proposes %d, outside the valence range [0,%d)", pid, v, maxDecision)
+		}
+	}
+	g := &Graph{p: p, index: make(map[string]int32)}
+	init, err := g.intern(p.Initial(inputs))
+	if err != nil {
+		return nil, err
+	}
+	g.init = init
 	// BFS.
 	for head := 0; head < len(g.nodes); head++ {
 		if len(g.nodes) > limit {
 			return nil, ErrLimit
 		}
-		nd := &g.nodes[head]
-		st := nd.state
+		st := g.nodes[head].state
 		for pid := 0; pid < p.N(); pid++ {
 			if !p.Enabled(st, pid) {
-				nd.succ[pid] = -1
+				g.nodes[head].succ[pid] = -1
 				continue
 			}
-			nxt := p.Next(st, pid)
-			nd.succ[pid] = g.intern(nxt)
-			nd = &g.nodes[head] // intern may grow the slice
+			nxt, err := g.intern(p.Next(st, pid))
+			if err != nil {
+				return nil, err
+			}
+			g.nodes[head].succ[pid] = nxt // intern may have grown g.nodes
 		}
 	}
 	g.computeValence()
 	return g, nil
 }
 
-func (g *Graph) intern(s State) int32 {
+func (g *Graph) intern(s State) (int32, error) {
 	g.keyBuf = s.AppendKey(g.keyBuf[:0])
 	if idx, ok := g.index[string(g.keyBuf)]; ok {
-		return idx
+		return idx, nil
+	}
+	local, err := localValence(g.p, s)
+	if err != nil {
+		return 0, err
 	}
 	idx := int32(len(g.nodes))
-	local := localValence(g.p, s)
 	g.nodes = append(g.nodes, node{
 		state:   s,
 		succ:    make([]int32, g.p.N()),
@@ -234,21 +234,13 @@ func (g *Graph) intern(s State) int32 {
 		valence: local,
 	})
 	g.index[string(g.keyBuf)] = idx
-	return idx
+	return idx, nil
 }
 
 // computeValence propagates decision reachability backwards to a fixpoint
 // (the graph may contain cycles, so iterative sweeps over the frozen edge
-// arrays are used; no recursion). On multi-worker graphs the sweep is a
-// Jacobi iteration parallelized over node ranges: each round reads the
-// previous round's valences and writes a fresh array, so rounds are
-// race-free and the fixpoint — being the least fixpoint of a monotone
-// function — is identical to the sequential one.
+// arrays are used; no recursion).
 func (g *Graph) computeValence() {
-	if g.workers > 1 && len(g.nodes) >= parallelThreshold {
-		g.computeValencePar()
-		return
-	}
 	for changed := true; changed; {
 		changed = false
 		for i := len(g.nodes) - 1; i >= 0; i-- {
@@ -265,62 +257,6 @@ func (g *Graph) computeValence() {
 			}
 		}
 	}
-}
-
-func (g *Graph) computeValencePar() {
-	n := len(g.nodes)
-	cur := make([]Valence, n)
-	next := make([]Valence, n)
-	for i := range g.nodes {
-		cur[i] = g.nodes[i].local
-	}
-	for {
-		var changed atomic.Bool
-		parallelRanges(n, g.workers, func(lo, hi int) {
-			dirty := false
-			for i := lo; i < hi; i++ {
-				v := cur[i]
-				for _, s := range g.nodes[i].succ {
-					if s >= 0 {
-						v |= cur[s]
-					}
-				}
-				next[i] = v
-				if v != cur[i] {
-					dirty = true
-				}
-			}
-			if dirty {
-				changed.Store(true)
-			}
-		})
-		cur, next = next, cur
-		if !changed.Load() {
-			break
-		}
-	}
-	for i := range g.nodes {
-		g.nodes[i].valence = cur[i]
-	}
-}
-
-// parallelRanges splits [0, n) into one contiguous range per worker and runs
-// f on each concurrently.
-func parallelRanges(n, workers int, f func(lo, hi int)) {
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			f(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
 }
 
 // Size returns the number of reachable states.
@@ -343,28 +279,21 @@ func (g *Graph) Succ(idx, pid int) int { return int(g.nodes[idx].succ[pid]) }
 
 // reachableFrom marks all states reachable from start (including start).
 // Results are memoized on the Graph; callers must not mutate the returned
-// slice. On multi-worker graphs the set is computed by a level-synchronous
-// frontier sweep parallelized over frontier ranges; the reachable set is
-// unique, so the result is independent of scheduling.
+// slice.
 func (g *Graph) reachableFrom(start int) []bool {
 	if seen, ok := g.reach[start]; ok {
 		return seen
 	}
-	var seen []bool
-	if g.workers > 1 && len(g.nodes) >= parallelThreshold {
-		seen = g.reachablePar(start)
-	} else {
-		seen = make([]bool, len(g.nodes))
-		stack := []int{start}
-		seen[start] = true
-		for len(stack) > 0 {
-			cur := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, s := range g.nodes[cur].succ {
-				if s >= 0 && !seen[s] {
-					seen[s] = true
-					stack = append(stack, int(s))
-				}
+	seen := make([]bool, len(g.nodes))
+	stack := []int{start}
+	seen[start] = true
+	for len(stack) > 0 {
+		cur := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, s := range g.nodes[cur].succ {
+			if s >= 0 && !seen[s] {
+				seen[s] = true
+				stack = append(stack, int(s))
 			}
 		}
 	}
@@ -377,64 +306,6 @@ func (g *Graph) reachableFrom(start int) []bool {
 	}
 	g.reach[start] = seen
 	g.reachOrder = append(g.reachOrder, start)
-	return seen
-}
-
-func (g *Graph) reachablePar(start int) []bool {
-	marks := make([]int32, len(g.nodes))
-	marks[start] = 1
-	frontier := []int32{int32(start)}
-	parts := make([][]int32, g.workers)
-	for len(frontier) > 0 {
-		if len(frontier) < parallelThreshold/4 {
-			// Small frontier: expand inline rather than fanning out.
-			next := frontier[:0:0]
-			for _, cur := range frontier {
-				for _, s := range g.nodes[cur].succ {
-					if s >= 0 && atomic.CompareAndSwapInt32(&marks[s], 0, 1) {
-						next = append(next, s)
-					}
-				}
-			}
-			frontier = next
-			continue
-		}
-		chunk := (len(frontier) + g.workers - 1) / g.workers
-		var wg sync.WaitGroup
-		for w := 0; w < g.workers; w++ {
-			lo := w * chunk
-			if lo >= len(frontier) {
-				parts[w] = nil
-				continue
-			}
-			hi := lo + chunk
-			if hi > len(frontier) {
-				hi = len(frontier)
-			}
-			wg.Add(1)
-			go func(w int, chunk []int32) {
-				defer wg.Done()
-				var local []int32
-				for _, cur := range chunk {
-					for _, s := range g.nodes[cur].succ {
-						if s >= 0 && atomic.CompareAndSwapInt32(&marks[s], 0, 1) {
-							local = append(local, s)
-						}
-					}
-				}
-				parts[w] = local
-			}(w, frontier[lo:hi])
-		}
-		wg.Wait()
-		frontier = frontier[:0]
-		for _, part := range parts {
-			frontier = append(frontier, part...)
-		}
-	}
-	seen := make([]bool, len(marks))
-	for i, m := range marks {
-		seen[i] = m != 0
-	}
 	return seen
 }
 
@@ -466,8 +337,9 @@ func (g *Graph) IsDecider(idx, pid int) bool {
 //
 // When several extensions qualify, the one whose successor state has the
 // smallest binary key is taken, so the walk — and whether it terminates
-// within maxIter — is independent of the graph's internal node numbering
-// (the sequential and parallel engines number nodes differently).
+// within maxIter, which decides what cmd/explore and asympc report — is
+// fixed by the states themselves rather than by the order in which the BFS
+// happened to number them.
 func (g *Graph) FindDecider(pid int, maxIter int) int {
 	x := int(g.init)
 	if !g.nodes[x].valence.Bivalent() {
@@ -518,7 +390,7 @@ type Critical struct {
 // Lemma 2 predicts that in each of them p and q access the same object and
 // that object is not an atomic register; the caller asserts that. The set of
 // configurations is numbering-independent; only the StateIdx fields depend
-// on the engine's node order.
+// on the BFS node order.
 func (g *Graph) FindCriticalPairs() []Critical {
 	var out []Critical
 	n := g.p.N()
@@ -633,8 +505,7 @@ func (g *Graph) SoloDecides(idx, pid, maxSteps int) bool {
 		}
 		nxt := g.nodes[cur].succ[pid]
 		if nxt < 0 {
-			_, ok := g.p.Decision(g.nodes[cur].state, pid)
-			return ok
+			return false // pid is stuck undecided
 		}
 		cur = int(nxt)
 	}

@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -100,7 +101,7 @@ func TestGatedModelWaitFreePortDecidesFromEverywhere(t *testing.T) {
 	g := exploreGated(t, []int{0, 1})
 	for i := 0; i < g.Size(); i++ {
 		if !g.SoloDecides(i, 0, 5) {
-			t.Fatalf("p0 cannot decide solo from state %d (key %q)", i, g.StateOf(i).Key())
+			t.Fatalf("p0 cannot decide solo from state %d (key %x)", i, g.StateOf(i).AppendKey(nil))
 		}
 	}
 }
@@ -230,6 +231,76 @@ func TestTASModelThreeProcessConsensusViolatesAgreement(t *testing.T) {
 	}
 }
 
+// TestTASModelFourProcessConsensusViolatesAgreement extends the Common2
+// boundary (E9) to four processes: the natural T&S protocol generalization
+// still admits an agreement violation, checked exhaustively over the 743
+// reachable states.
+func TestTASModelFourProcessConsensusViolatesAgreement(t *testing.T) {
+	g, err := Explore(TASModel{Procs: 4}, []int{0, 1, 1, 0}, 2000000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !g.InitialValence().Bivalent() {
+		t.Errorf("initial valence %v, want bivalent", g.InitialValence())
+	}
+	if _, bad := g.CheckAgreement(); !bad {
+		t.Error("no agreement violation found for the 4-process T&S protocol; " +
+			"consensus number 2 predicts one")
+	}
+	if !g.CheckValidity([]int{0, 1, 1, 0}) {
+		t.Error("validity violated")
+	}
+}
+
+// TestTASModelFiveProcessExhaustive pushes the same check to five processes
+// (9374 states), far past what the original string-keyed checker was
+// exercised on.
+func TestTASModelFiveProcessExhaustive(t *testing.T) {
+	g, err := Explore(TASModel{Procs: 5}, []int{0, 1, 1, 0, 1}, 2000000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !g.InitialValence().Bivalent() {
+		t.Errorf("initial valence %v, want bivalent", g.InitialValence())
+	}
+	if _, bad := g.CheckAgreement(); !bad {
+		t.Error("no agreement violation found for the 5-process T&S protocol")
+	}
+	if !g.CheckValidity([]int{0, 1, 1, 0, 1}) {
+		t.Error("validity violated")
+	}
+}
+
+// TestOFModelDeepRoundCap raises the obstruction-free model's round cap to 8
+// (5365 states): initial bivalence and exhaustive safety are insensitive to
+// the deeper cap, and the livelock pump extends through every modelled round
+// — the adversary can hold the estimates apart at each round boundary, the
+// full executable content of Theorem 4's premise.
+func TestOFModelDeepRoundCap(t *testing.T) {
+	const rounds = 8
+	g, err := Explore(OFModel{Rounds: rounds}, []int{0, 1}, 2000000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !g.InitialValence().Bivalent() {
+		t.Fatalf("initial valence %v, want bivalent", g.InitialValence())
+	}
+	if viol, bad := g.CheckAgreement(); bad {
+		t.Errorf("agreement violation %+v", viol)
+	}
+	if !g.CheckValidity([]int{0, 1}) {
+		t.Error("validity violated")
+	}
+	for r := 1; r < rounds; r++ {
+		idx := g.FindReachable(g.Initial(), func(s State) bool {
+			return AtRoundBoundary(s, r)
+		})
+		if idx < 0 {
+			t.Errorf("no livelock pump at round-%d boundary", r)
+		}
+	}
+}
+
 // --- Explorer internals ----------------------------------------------------
 
 func TestValenceHelpers(t *testing.T) {
@@ -253,6 +324,42 @@ func TestValenceHelpers(t *testing.T) {
 	}
 }
 
+// TestExploreRejectsOutOfRangeValues: a Valence has one bit per value in
+// [0, 16), so an input or a reachable decision outside that range must fail
+// the exploration instead of vanishing from every valence.
+func TestExploreRejectsOutOfRangeValues(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		p      Protocol
+		inputs []int
+		want   string
+	}{
+		{"input 16", TASModel{Procs: 2}, []int{0, 16}, "p1 proposes 16,"},
+		{"input -1", TASModel{Procs: 2}, []int{-1, 1}, "p0 proposes -1,"},
+		{"decision 16", shiftedTAS{TASModel{Procs: 2}}, []int{0, 1}, "decides 16,"},
+	} {
+		g, err := Explore(tc.p, tc.inputs, 100000)
+		if err == nil {
+			t.Errorf("%s: no error, initial valence %v", tc.name, g.InitialValence())
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q, want it to contain %q", tc.name, err, tc.want)
+		}
+	}
+	if _, err := Explore(TASModel{Procs: 2}, []int{0, 15}, 100000); err != nil {
+		t.Errorf("inputs [0 15]: %v", err)
+	}
+}
+
+// shiftedTAS decides 15 more than TASModel, so input 1 decides 16.
+type shiftedTAS struct{ TASModel }
+
+func (m shiftedTAS) Decision(s State, pid int) (int, bool) {
+	v, ok := m.TASModel.Decision(s, pid)
+	return v + 15, ok
+}
+
 func TestExploreRespectsLimit(t *testing.T) {
 	if _, err := Explore(OFModel{Rounds: 2}, []int{0, 1}, 10); err != ErrLimit {
 		t.Errorf("err = %v, want ErrLimit", err)
@@ -268,7 +375,7 @@ func TestGraphAccessors(t *testing.T) {
 	if s := g.Succ(init, 0); s < 0 {
 		t.Error("p0 not enabled at the initial state")
 	}
-	if g.StateOf(init).Key() == "" {
+	if len(g.StateOf(init).AppendKey(nil)) == 0 {
 		t.Error("empty state key")
 	}
 }
